@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint scenarios daemon-smoke bench campaign-bench federation-bench locality-bench wan-bench storage-bench scale-bench clean help
+.PHONY: all build test vet lint scenarios daemon-smoke bench-smoke bench campaign-bench federation-bench locality-bench wan-bench storage-bench scale-bench clean help
 
 all: vet lint build test
 
@@ -57,6 +57,12 @@ daemon-smoke:
 	grep -q '"final": true' "$$dir/latest.json"; \
 	echo "daemon-smoke: OK"
 
+# End-to-end benchmark module smoke: run the bench/ module's own tests —
+# every workload on tiny fixtures, traced and untraced, plus the stats
+# and comparison helpers and the BENCHMARK.json contract. About 6 s.
+bench-smoke:
+	cd bench && $(GO) test ./...
+
 # Full benchmark suite (paper tables, ablations, enactor scaling) with
 # allocation stats; the raw output is kept for cross-change comparison.
 bench:
@@ -98,11 +104,9 @@ storage-bench:
 	$(GO) test -bench BenchmarkStorageChurn -benchmem -benchtime 2x -run '^$$' . | tee BENCH_6.json
 
 # Metropolis-scale benchmark: 100k outputless jobs across 8 heterogeneous
-# grids in 200 submission waves, run serial and parallel (per-grid event
-# loops); the benchmark itself fails unless the two modes' result
-# fingerprints are bit-identical, so the timing comparison is of the same
-# computation. Two iterations so the in-benchmark determinism assertion
-# also compares fingerprints across runs.
+# grids in 200 submission waves on the single-threaded engine. Two
+# iterations so the in-benchmark determinism assertion compares result
+# fingerprints across runs.
 scale-bench:
 	$(GO) test -bench BenchmarkFederationMetropolis -benchmem -benchtime 2x -run '^$$' . | tee BENCH_9.json
 
@@ -119,11 +123,12 @@ help:
 	@echo "  lint             determinism lint (cmd/moteurvet as vettool) + gofmt -l"
 	@echo "  scenarios        run the scenarios/*.json library, one results row each"
 	@echo "  daemon-smoke     boot moteurd, submit over HTTP, scrape /metrics, snapshot"
+	@echo "  bench-smoke      bench/ module tests, every workload briefly (~6 s)"
 	@echo "  bench            full paper suite                      -> BENCH_1.json"
 	@echo "  campaign-bench   32-tenant shared-grid campaign        -> BENCH_2.json"
 	@echo "  federation-bench 4 grids x 16 tenants, ranked broker   -> BENCH_3.json"
 	@echo "  locality-bench   skewed replicas over a WAN, ranked    -> BENCH_4.json"
 	@echo "  wan-bench        contended per-pair WAN channels       -> BENCH_5.json"
 	@echo "  storage-bench    SE capacity churn, eviction, repair   -> BENCH_6.json"
-	@echo "  scale-bench      100k jobs x 8 grids, serial+parallel  -> BENCH_9.json"
+	@echo "  scale-bench      100k jobs x 8 grids, serial engine    -> BENCH_9.json"
 	@echo "  clean            remove BENCH_*.json"

@@ -1,7 +1,6 @@
 // The metropolis tier: a 100k-job, eight-grid federation benchmark
-// exercising the allocation-free hot paths and the parallel per-grid
-// event loops at two orders of magnitude above the standard federation
-// benchmarks. Run through `make scale-bench` (it is deliberately outside
+// exercising the allocation-free hot paths at two orders of magnitude
+// above the standard federation benchmarks. Run through `make scale-bench` (it is deliberately outside
 // the default `make bench` matrix — a single iteration simulates a
 // hundred thousand brokered jobs).
 package moteur
@@ -10,7 +9,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"sync"
 	"testing"
 	"time"
 
@@ -19,28 +17,15 @@ import (
 	"repro/internal/sim"
 )
 
-// metropolisFPs collects the per-mode fingerprints so the parallel
-// sub-benchmark can assert bit-identity against the serial one within a
-// single `go test -bench` process.
-var metropolisFPs = struct {
-	sync.Mutex
-	m map[string]string
-}{m: make(map[string]string)}
-
 // BenchmarkFederationMetropolis runs 100,000 outputless jobs with a
 // heterogeneous input corpus across eight heterogeneous grids, in 200
-// pre-scheduled submission waves (the main-engine brokering points that
-// bound the parallel engine's windows). The serial and parallel
-// sub-benchmarks run the identical world; the benchmark fails unless
-// their result fingerprints are bit-identical, making the speedup
-// comparison a comparison of the same computation. workers reports the
-// per-window goroutine count (1 = single-engine serial path).
+// pre-scheduled submission waves. The benchmark fails unless every
+// iteration's result fingerprint is bit-identical.
 func BenchmarkFederationMetropolis(b *testing.B) {
-	b.Run("serial", func(b *testing.B) { benchMetropolis(b, false) })
-	b.Run("parallel", func(b *testing.B) { benchMetropolis(b, true) })
+	b.Run("serial", benchMetropolis)
 }
 
-func benchMetropolis(b *testing.B, parallel bool) {
+func benchMetropolis(b *testing.B) {
 	const (
 		nGrids  = 8
 		waves   = 200
@@ -53,15 +38,11 @@ func benchMetropolis(b *testing.B, parallel bool) {
 	for n := 0; n < b.N; n++ {
 		eng := sim.NewEngine()
 		fed, err := federation.New(eng, federation.Config{
-			Grids:    federation.HeterogeneousSpecs(nGrids, 3),
-			Policy:   federation.Ranked(),
-			Parallel: parallel,
+			Grids:  federation.HeterogeneousSpecs(nGrids, 3),
+			Policy: federation.Ranked(),
 		})
 		if err != nil {
 			b.Fatal(err)
-		}
-		if fed.ParallelActive() != parallel {
-			b.Fatalf("ParallelActive() = %v, want %v", fed.ParallelActive(), parallel)
 		}
 		// The corpus is deliberately heterogeneous: 64 files from 16 to
 		// ~250 MB, placed round-robin across all eight grids, so stage
@@ -72,8 +53,6 @@ func benchMetropolis(b *testing.B, parallel bool) {
 			names[i] = fmt.Sprintf("corpus%03d", i)
 			cat.RegisterAt(names[i], float64(16+(i*13)%240), grid.Site{Grid: fed.GridName(i % nGrids)})
 		}
-		// Completion callbacks run on shard goroutines under the parallel
-		// engine: each writes only its own pre-allocated slot.
 		makespans := make([]int64, jobs)
 		for w := 0; w < waves; w++ {
 			w := w
@@ -96,7 +75,7 @@ func benchMetropolis(b *testing.B, parallel bool) {
 				}
 			})
 		}
-		fed.Run()
+		eng.Run()
 
 		h := fnv.New64a()
 		var buf [8]byte
@@ -116,29 +95,7 @@ func benchMetropolis(b *testing.B, parallel bool) {
 			b.Fatalf("iteration %d diverged: fingerprint %s, want %s", n, cur, fp)
 		}
 		simEnd = eng.Now()
-		for i := 0; i < fed.Size(); i++ {
-			if t := fed.Grid(i).Eng.Now(); t > simEnd {
-				simEnd = t
-			}
-		}
-	}
-
-	mode := "serial"
-	workers := 1.0
-	if parallel {
-		mode, workers = "parallel", nGrids
-	}
-	metropolisFPs.Lock()
-	metropolisFPs.m[mode] = fp
-	other, both := metropolisFPs.m["serial"], false
-	if parallel {
-		_, both = metropolisFPs.m["serial"]
-	}
-	metropolisFPs.Unlock()
-	if both && other != fp {
-		b.Fatalf("parallel fingerprint %s diverged from serial %s", fp, other)
 	}
 	b.ReportMetric(float64(jobs), "jobs")
 	b.ReportMetric(simEnd.Seconds(), "sim_s")
-	b.ReportMetric(workers, "workers")
 }

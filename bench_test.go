@@ -454,7 +454,7 @@ func BenchmarkFederationScale(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rep, err := campaign.RunFederated(eng, fed, tenants())
+		rep, err := campaign.RunSite(eng, campaign.OnFederation(fed), tenants(), campaign.Admission{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -545,7 +545,7 @@ func BenchmarkFederationLocality(b *testing.B) {
 				Build:   campaign.SyntheticChainPlaced(nServices, nD, 2*time.Minute, 5, home, 1),
 			}
 		}
-		rep, err := campaign.RunFederated(eng, fed, specs)
+		rep, err := campaign.RunSite(eng, campaign.OnFederation(fed), specs, campaign.Admission{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -647,7 +647,7 @@ func BenchmarkFederationContention(b *testing.B) {
 				Build:   campaign.SyntheticChainPlaced(nServices, nD, 2*time.Minute, 5, home, 1),
 			}
 		}
-		rep, err := campaign.RunFederated(eng, fed, specs)
+		rep, err := campaign.RunSite(eng, campaign.OnFederation(fed), specs, campaign.Admission{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -487,7 +487,7 @@ func (s sweep) run(policy federation.Policy) (*campaign.Report, *federation.Fede
 			Build:   campaign.SyntheticChainPlaced(s.servs, s.items, s.runtime, s.fileMB, home, s.skew),
 		}
 	}
-	rep, err := campaign.RunFederated(eng, fed, specs)
+	rep, err := campaign.RunSite(eng, campaign.OnFederation(fed), specs, campaign.Admission{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "federation:", err)
 		os.Exit(1)

@@ -40,7 +40,7 @@ func main() {
 			Build:   campaign.SyntheticChainPlaced(3, 10, 2*time.Minute, 5, home, 1),
 		}
 	}
-	rep, err := campaign.RunFederated(eng, fed, tenants)
+	rep, err := campaign.RunSite(eng, campaign.OnFederation(fed), tenants, campaign.Admission{})
 	if err != nil {
 		panic(err)
 	}

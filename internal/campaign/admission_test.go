@@ -43,10 +43,9 @@ func runAdmission(t *testing.T, cfg Config) map[string]TenantResult {
 func TestAdmissionProtectsSteadyTenant(t *testing.T) {
 	ungated := runAdmission(t, Config{Grid: testGrid(64), Tenants: admissionLoad()})
 	gated := runAdmission(t, Config{
-		Grid:           testGrid(64),
-		Tenants:        admissionLoad(),
-		MaxUIBacklog:   25,
-		AdmissionRetry: 30 * time.Second,
+		Grid:      testGrid(64),
+		Tenants:   admissionLoad(),
+		Admission: Admission{MaxUIBacklog: 25, Retry: 30 * time.Second},
 	})
 
 	for name, tr := range gated {
@@ -69,7 +68,7 @@ func TestAdmissionProtectsSteadyTenant(t *testing.T) {
 }
 
 // TestAdmissionRejectsAfterMaxDelay pins the rejection path: a tenant
-// that waits out AdmissionMaxDelay against a still-saturated UI is turned
+// that waits out Admission.MaxDelay against a still-saturated UI is turned
 // away with ErrAdmissionRejected while the rest of the campaign
 // completes.
 func TestAdmissionRejectsAfterMaxDelay(t *testing.T) {
@@ -79,9 +78,7 @@ func TestAdmissionRejectsAfterMaxDelay(t *testing.T) {
 			{Name: "flood", Opts: spdp(), Build: SyntheticChain(1, 200, 10*time.Minute, 1)},
 			{Name: "late", Arrival: 2 * time.Minute, Opts: spdp(), Build: SyntheticChain(1, 5, 30*time.Second, 1)},
 		},
-		MaxUIBacklog:      10,
-		AdmissionRetry:    30 * time.Second,
-		AdmissionMaxDelay: 2 * time.Minute,
+		Admission: Admission{MaxUIBacklog: 10, Retry: 30 * time.Second, MaxDelay: 2 * time.Minute},
 	})
 	if err != nil {
 		t.Fatal(err)

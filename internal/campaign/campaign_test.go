@@ -183,7 +183,7 @@ func TestCampaignTenantStatsIsolation(t *testing.T) {
 	}
 	eng := sim.NewEngine()
 	g := grid.New(eng, cfg.Grid)
-	rep, err := RunOn(eng, g, cfg.Tenants)
+	rep, err := RunSite(eng, OnGrid(g), cfg.Tenants, Admission{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestCampaignArrivalWaves(t *testing.T) {
 	}
 	eng := sim.NewEngine()
 	g := grid.New(eng, cfg.Grid)
-	rep, err := RunOn(eng, g, cfg.Tenants)
+	rep, err := RunSite(eng, OnGrid(g), cfg.Tenants, Admission{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func g(t *testing.T, cfg Config) *grid.Grid {
 	t.Helper()
 	eng := sim.NewEngine()
 	gr := grid.New(eng, cfg.Grid)
-	if _, err := RunOn(eng, gr, cfg.Tenants); err != nil {
+	if _, err := RunSite(eng, OnGrid(gr), cfg.Tenants, Admission{}); err != nil {
 		t.Fatal(err)
 	}
 	return gr
@@ -372,15 +372,15 @@ func TestCampaignConfigValidation(t *testing.T) {
 	}
 }
 
-// TestRunOnAdvancedEngine: RunOn must work on an engine whose clock has
+// TestRunOnAdvancedEngine: RunSite must work on an engine whose clock has
 // already moved — arrivals are relative to the campaign start.
 func TestRunOnAdvancedEngine(t *testing.T) {
 	eng := sim.NewEngine()
 	g := grid.New(eng, testGrid(16))
 	eng.RunUntil(sim.Time(time.Hour))
-	rep, err := RunOn(eng, g, []TenantSpec{
+	rep, err := RunSite(eng, OnGrid(g), []TenantSpec{
 		{Name: "later", Opts: spdp(), Build: SyntheticChain(2, 3, 10*time.Second, 1)},
-	})
+	}, Admission{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func TestCampaignFailedTenantStopsSubmitting(t *testing.T) {
 	}
 	eng := sim.NewEngine()
 	g := grid.New(eng, cfg.Grid)
-	rep, err := RunOn(eng, g, cfg.Tenants)
+	rep, err := RunSite(eng, OnGrid(g), cfg.Tenants, Admission{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,7 +496,7 @@ func TestCampaignBatchedFailureStopsSubmitting(t *testing.T) {
 	}}
 	eng := sim.NewEngine()
 	g := grid.New(eng, cfg.Grid)
-	rep, err := RunOn(eng, g, cfg.Tenants)
+	rep, err := RunSite(eng, OnGrid(g), cfg.Tenants, Admission{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,7 +512,7 @@ func TestCampaignBatchedFailureStopsSubmitting(t *testing.T) {
 
 // TestCampaignStalledAdaptiveTenantTerminates: an adaptive tenant whose
 // workflow stalls must not keep the engine alive through its own retuning
-// ticks — RunOn has to return and report the stall.
+// ticks — RunSite has to return and report the stall.
 func TestCampaignStalledAdaptiveTenantTerminates(t *testing.T) {
 	stalling := func(th Handle) (*workflow.Workflow, map[string][]string, error) {
 		eng := th.Engine()

@@ -214,6 +214,15 @@ func TestHTTPSubmitJobsMetricsSnapshot(t *testing.T) {
 		t.Fatalf("/submit with unknown input: %d, want 400", code)
 	}
 
+	// A runtime that overflows time.Duration is rejected, and the driver
+	// goroutine survives to keep serving.
+	if code, _ := httpPost(t, base+"/submit", `{"name":"x","runtimeSeconds":1e11}`); code != http.StatusBadRequest {
+		t.Fatalf("/submit with overflowing runtime: %d, want 400", code)
+	}
+	if code, _ := httpGet(t, base+"/healthz"); code != http.StatusOK {
+		t.Fatalf("/healthz after overflowing submit: %d, want 200", code)
+	}
+
 	// The probes complete (warp 0 drains them as soon as they land).
 	waitFor(t, "probe jobs to complete", func() bool {
 		_, body := httpGet(t, base+"/jobs")

@@ -278,6 +278,11 @@ func (d *Daemon) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, snap)
 }
 
+// maxRuntimeSeconds caps a submitted job's runtime at one virtual year,
+// far below the ~292 years at which the runtime (or the engine clock
+// plus it) overflows time.Duration and the engine panics.
+const maxRuntimeSeconds = 365 * 24 * 3600
+
 // handleSubmit accepts an external job submission and injects it into
 // the running world at the current paced virtual instant.
 func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -290,8 +295,8 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad request: name is required", http.StatusBadRequest)
 		return
 	}
-	if req.RuntimeSeconds < 0 {
-		http.Error(w, "bad request: runtimeSeconds must be >= 0", http.StatusBadRequest)
+	if req.RuntimeSeconds < 0 || req.RuntimeSeconds > maxRuntimeSeconds {
+		http.Error(w, fmt.Sprintf("bad request: runtimeSeconds must be in [0, %d]", maxRuntimeSeconds), http.StatusBadRequest)
 		return
 	}
 	count := req.Count

@@ -145,8 +145,8 @@ func TestGridOutageScenarios(t *testing.T) {
 			}
 			sawDarkPick, sawRejoin, sawCasualty := false, false, false
 			for _, rec := range run.f.Records() {
-				inWindow := rec.Submitted >= sim.Time(downAt) && rec.Submitted < upEnd
-				if inWindow && rec.Grid == dark {
+				duringOutage := rec.Submitted >= sim.Time(downAt) && rec.Submitted < upEnd
+				if duringOutage && rec.Grid == dark {
 					sawDarkPick = true
 				}
 				if rec.Submitted >= upEnd && rec.Grid == dark {

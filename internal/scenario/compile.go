@@ -118,7 +118,7 @@ func Compile(eng *sim.Engine, s *Spec) (*World, error) {
 // federation under the spec's admission gate, and the engine is stepped
 // until the campaign terminates.
 func (w *World) Run() (*campaign.Report, error) {
-	return campaign.RunSiteAdmitted(w.Eng, campaign.OnFederation(w.Fed), w.Tenants, w.Admission)
+	return campaign.RunSite(w.Eng, campaign.OnFederation(w.Fed), w.Tenants, w.Admission)
 }
 
 // Start schedules the world's campaign on the engine without driving it:

@@ -25,11 +25,10 @@ type Resource struct {
 	freeHolds []*hold
 }
 
-// waiter is one queued acquisition: either a plain callback or a static
-// function plus argument.
+// waiter is one queued acquisition: a static function plus argument
+// (Acquire stores its plain callback as the argument of callFunc).
 type waiter struct {
-	fn  func()
-	afn func(any)
+	fn  func(any)
 	arg any
 }
 
@@ -42,7 +41,7 @@ type hold struct {
 	start  Time
 	waited Time
 	d      Time
-	afn    func(any, Time)
+	done   func(any, Time)
 	arg    any
 }
 
@@ -80,7 +79,7 @@ func (r *Resource) Acquire(granted func()) {
 	if granted == nil {
 		panic("sim: Acquire with nil callback")
 	}
-	r.acquire(waiter{fn: granted})
+	r.acquire(waiter{fn: callFunc, arg: granted})
 }
 
 // AcquireArg is Acquire for argument-passing callbacks: granted(arg) runs
@@ -90,7 +89,7 @@ func (r *Resource) AcquireArg(granted func(any), arg any) {
 	if granted == nil {
 		panic("sim: AcquireArg with nil callback")
 	}
-	r.acquire(waiter{afn: granted, arg: arg})
+	r.acquire(waiter{fn: granted, arg: arg})
 }
 
 func (r *Resource) acquire(w waiter) {
@@ -110,11 +109,7 @@ func (r *Resource) grant(w waiter) {
 	if r.busy > r.peakBusy {
 		r.peakBusy = r.busy
 	}
-	if w.afn != nil {
-		w.afn(w.arg)
-		return
-	}
-	w.fn()
+	w.fn(w.arg)
 }
 
 // Release returns a slot. If requests are queued, the oldest one is granted
@@ -181,8 +176,8 @@ func (r *Resource) UseWaitArg(d Time, done func(any, Time), arg any) {
 	}
 	h.start = r.eng.Now()
 	h.d = d
-	h.afn, h.arg = done, arg
-	r.acquire(waiter{afn: holdGranted, arg: h})
+	h.done, h.arg = done, arg
+	r.acquire(waiter{fn: holdGranted, arg: h})
 }
 
 // holdGranted runs when a hold's slot is granted: it records the queueing
@@ -200,10 +195,10 @@ func holdExpire(x any) {
 	h := x.(*hold)
 	r := h.r
 	r.Release()
-	afn, arg, waited := h.afn, h.arg, h.waited
-	h.afn, h.arg = nil, nil
+	done, arg, waited := h.done, h.arg, h.waited
+	h.done, h.arg = nil, nil
 	r.freeHolds = append(r.freeHolds, h)
-	if afn != nil {
-		afn(arg, waited)
+	if done != nil {
+		done(arg, waited)
 	}
 }

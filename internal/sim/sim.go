@@ -28,15 +28,14 @@ import (
 type Time = time.Duration
 
 // Event is a scheduled callback. It can be cancelled before it fires.
-// An event carries either a plain callback (Schedule/At) or an
-// argument-passing one (ScheduleArg/AtArg); the latter lets hot paths
-// share one static function across events instead of allocating a new
-// closure per event.
+// Every event carries one argument-passing callback fn(arg): ScheduleArg
+// and AtArg let hot paths share one static function across events instead
+// of allocating a new closure per event, and Schedule/At store the plain
+// closure as the argument of callFunc.
 type Event struct {
 	eng      *Engine
 	at       Time
-	fn       func()
-	afn      func(any)
+	fn       func(any)
 	arg      any
 	canceled bool
 	fired    bool
@@ -140,10 +139,12 @@ func (e *Engine) At(t Time, fn func()) *Event {
 	if fn == nil {
 		panic("sim: At with nil callback")
 	}
-	ev := e.newEvent(t)
-	ev.fn = fn
-	return ev
+	return e.AtArg(t, callFunc, fn)
 }
+
+// callFunc adapts a plain callback to the argument-passing form. The func
+// value is pointer-shaped, so boxing it in the arg slot is free.
+func callFunc(arg any) { arg.(func())() }
 
 // ScheduleArg is Schedule for argument-passing callbacks: fn(arg) runs
 // after delay. Because fn can be a package-level function and arg a
@@ -162,7 +163,7 @@ func (e *Engine) AtArg(t Time, fn func(any), arg any) *Event {
 		panic("sim: AtArg with nil callback")
 	}
 	ev := e.newEvent(t)
-	ev.afn, ev.arg = fn, arg
+	ev.fn, ev.arg = fn, arg
 	return ev
 }
 
@@ -202,7 +203,7 @@ func (e *Engine) newEvent(t Time) *Event {
 // recycle returns a consumed (fired or cancelled-and-collected) event to
 // the free list.
 func (e *Engine) recycle(ev *Event) {
-	ev.fn, ev.afn, ev.arg = nil, nil, nil
+	ev.fn, ev.arg = nil, nil
 	e.freeEvents = append(e.freeEvents, ev)
 }
 
@@ -288,13 +289,8 @@ func (e *Engine) Step() bool {
 		e.fired++
 		e.live--
 		ev.fired = true
-		if ev.afn != nil {
-			afn, arg := ev.afn, ev.arg
-			afn(arg)
-		} else {
-			fn := ev.fn
-			fn()
-		}
+		fn, arg := ev.fn, ev.arg
+		fn(arg)
 		e.recycle(ev)
 		return true
 	}
@@ -330,22 +326,4 @@ func (e *Engine) NextAt() (t Time, ok bool) {
 		return 0, false
 	}
 	return ev.at, true
-}
-
-// RunBefore fires every event with an instant strictly before t, then
-// advances the clock to t. It is the shard-side window primitive of
-// Group: a shard drains all of its work below the next global barrier
-// instant without observing events at the barrier itself, which belong
-// to the window after the barrier's global batch.
-func (e *Engine) RunBefore(t Time) {
-	for {
-		ev := e.peek()
-		if ev == nil || ev.at >= t {
-			break
-		}
-		e.Step()
-	}
-	if t > e.now {
-		e.now = t
-	}
 }

@@ -54,6 +54,63 @@ func TestSameInstantFIFO(t *testing.T) {
 			t.Fatalf("same-instant events fired in order %v, want schedule order", order)
 		}
 	}
+
+	// Closure and argument-passing events share one queue: interleaved at
+	// one instant, through every scheduling entry point, they still fire
+	// in schedule order.
+	e = NewEngine()
+	order = order[:0]
+	record := func(x any) { order = append(order, x.(int)) }
+	for i := 0; i < 12; i++ {
+		i := i
+		switch i % 4 {
+		case 0:
+			e.Schedule(time.Second, func() { order = append(order, i) })
+		case 1:
+			e.ScheduleArg(time.Second, record, i)
+		case 2:
+			e.At(time.Second, func() { order = append(order, i) })
+		case 3:
+			e.AtArg(time.Second, record, i)
+		}
+	}
+	e.Run()
+	if len(order) != 12 {
+		t.Fatalf("%d of 12 mixed same-instant events fired", len(order))
+	}
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("mixed same-instant events fired in order %v, want schedule order", order)
+		}
+	}
+}
+
+// TestScheduleStepAllocFree pins the engine's steady-state allocation
+// contract for both event forms: once the event and bucket free lists are
+// warm, scheduling a preallocated closure (Schedule) or a static function
+// plus pointer argument (ScheduleArg) and firing it allocates nothing.
+func TestScheduleStepAllocFree(t *testing.T) {
+	e := NewEngine()
+	n := 0
+	fn := func() { n++ }
+	argFn := func(x any) { *x.(*int)++ }
+	e.Schedule(time.Second, fn)
+	e.Step()
+	if avg := testing.AllocsPerRun(1000, func() {
+		e.Schedule(time.Second, fn)
+		e.Step()
+	}); avg != 0 {
+		t.Fatalf("warm Schedule+Step allocates %.1f objects per event, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(1000, func() {
+		e.ScheduleArg(time.Second, argFn, &n)
+		e.Step()
+	}); avg != 0 {
+		t.Fatalf("warm ScheduleArg+Step allocates %.1f objects per event, want 0", avg)
+	}
+	if n != 1+2*1001 {
+		t.Fatalf("%d callbacks ran, want %d", n, 1+2*1001)
+	}
 }
 
 func TestNestedScheduling(t *testing.T) {

@@ -50,11 +50,6 @@ type (
 	Engine = sim.Engine
 	// VirtualTime is an instant of simulated time.
 	VirtualTime = sim.Time
-	// EngineGroup runs shard engines concurrently between the main
-	// engine's instants — the conservative parallel scheme behind
-	// FederationConfig.Parallel (see DESIGN.md, "Parallel per-grid
-	// event loops"). Results are bit-identical to a serial drain.
-	EngineGroup = sim.Group
 )
 
 // NewEngine returns a fresh simulation engine with the clock at zero.
@@ -187,23 +182,26 @@ var (
 	// RunCampaign builds a fresh engine and shared grid and enacts all
 	// tenants concurrently on them.
 	RunCampaign = campaign.Run
-	// RunCampaignOn enacts tenants on an existing engine and grid.
-	RunCampaignOn = campaign.RunOn
-	// RunCampaignFederated enacts tenants on an existing engine and
-	// federation: jobs are brokered across the member grids per policy.
-	RunCampaignFederated = campaign.RunFederated
+	// RunCampaignSite enacts tenants on an existing engine and site — a
+	// shared grid (CampaignOnGrid) or a federation whose broker spreads
+	// jobs across the member grids (CampaignOnFederation) — with
+	// arrivals gated on the site's UI backlog by a non-zero
+	// CampaignAdmission.
+	RunCampaignSite = campaign.RunSite
+	// CampaignOnGrid adapts one shared grid into a campaign site.
+	CampaignOnGrid = campaign.OnGrid
+	// CampaignOnFederation adapts a federation into a campaign site.
+	CampaignOnFederation = campaign.OnFederation
 	// SyntheticChain builds the standard campaign workload: a linear
 	// pipeline of wrapper-backed stages with tenant-unique file names.
 	SyntheticChain = campaign.SyntheticChain
 	// SyntheticChainPlaced is SyntheticChain with a skew fraction of the
 	// inputs registered as replicas at a home site (locality scenarios).
 	SyntheticChainPlaced = campaign.SyntheticChainPlaced
-	// RunCampaignAdmitted is RunCampaignOn's site-generic form with
-	// admission control: arrivals are gated on the site's UI backlog.
-	RunCampaignAdmitted = campaign.RunSiteAdmitted
 )
 
-// CampaignAdmission is the arrival-gating policy of an admitted campaign.
+// CampaignAdmission is the arrival-gating policy of a campaign; the zero
+// value disables gating.
 type CampaignAdmission = campaign.Admission
 
 // Federated multi-grid brokering: N independently-configured grids behind
