@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint scenarios daemon-smoke bench-smoke bench campaign-bench federation-bench locality-bench wan-bench storage-bench scale-bench clean help
+.PHONY: all build test vet lint scenarios daemon-smoke bench-smoke bench campaign-bench scenario-bench clean help
 
 all: vet lint build test
 
@@ -74,44 +74,15 @@ bench:
 campaign-bench:
 	$(GO) test -bench BenchmarkCampaignScale -benchmem -benchtime 2x -run '^$$' . | tee BENCH_2.json
 
-# Federated brokering benchmark (16 tenants brokered across 4
-# heterogeneous grids by the overhead-ranked policy, cross-grid
-# re-brokering on); two iterations so the in-benchmark determinism
-# assertion compares dispatch schedules across runs.
-federation-bench:
-	$(GO) test -bench BenchmarkFederationScale -benchmem -benchtime 2x -run '^$$' . | tee BENCH_3.json
-
-# Locality-aware federated brokering benchmark (16 tenants with
-# grid-resident inputs across 4 heterogeneous grids, default WAN link
-# model, locality-aware ranked policy); two iterations so the in-benchmark
-# determinism assertion compares makespans, dispatch schedules and WAN
-# byte counts across runs.
-locality-bench:
-	$(GO) test -bench BenchmarkFederationLocality -benchmem -benchtime 2x -run '^$$' . | tee BENCH_4.json
-
-# Contended WAN fabric benchmark (the locality scenario with two
-# concurrent fetch legs per grid pair); two iterations so the in-benchmark
-# determinism assertion compares makespans, WAN byte counts and per-grid
-# WAN-wait seconds across runs.
-wan-bench:
-	$(GO) test -bench BenchmarkFederationContention -benchmem -benchtime 2x -run '^$$' . | tee BENCH_5.json
-
-# Active-storage churn benchmark (finite storage elements, popularity
-# eviction, k=2 replication repair, correlated storage outages); two
-# iterations so the in-benchmark determinism assertion compares dispatch
-# schedules, eviction totals and repair counts across runs.
-storage-bench:
-	$(GO) test -bench BenchmarkStorageChurn -benchmem -benchtime 2x -run '^$$' . | tee BENCH_6.json
-
-# Metropolis-scale benchmark: 100k outputless jobs across 8 heterogeneous
-# grids in 200 submission waves on the single-threaded engine. Two
-# iterations so the in-benchmark determinism assertion compares result
-# fingerprints across runs.
-scale-bench:
-	$(GO) test -bench BenchmarkFederationMetropolis -benchmem -benchtime 2x -run '^$$' . | tee BENCH_9.json
+# Scenario benchmarks: one BenchmarkScenario/<name> sub-benchmark per
+# scenarios/*.json world (the hetero-* federation worlds, the metropolis
+# 100k-job tier, storage churn, ...); two iterations so the in-benchmark
+# fingerprint check compares runs.
+scenario-bench:
+	$(GO) test -bench BenchmarkScenario -benchmem -benchtime 2x -run '^$$' .
 
 clean:
-	rm -f BENCH_1.json BENCH_2.json BENCH_3.json BENCH_4.json BENCH_5.json BENCH_6.json BENCH_9.json
+	rm -f BENCH_1.json BENCH_2.json
 	rm -rf bin
 
 help:
@@ -126,9 +97,5 @@ help:
 	@echo "  bench-smoke      bench/ module tests, every workload briefly (~6 s)"
 	@echo "  bench            full paper suite                      -> BENCH_1.json"
 	@echo "  campaign-bench   32-tenant shared-grid campaign        -> BENCH_2.json"
-	@echo "  federation-bench 4 grids x 16 tenants, ranked broker   -> BENCH_3.json"
-	@echo "  locality-bench   skewed replicas over a WAN, ranked    -> BENCH_4.json"
-	@echo "  wan-bench        contended per-pair WAN channels       -> BENCH_5.json"
-	@echo "  storage-bench    SE capacity churn, eviction, repair   -> BENCH_6.json"
-	@echo "  scale-bench      100k jobs x 8 grids, serial engine    -> BENCH_9.json"
-	@echo "  clean            remove BENCH_*.json"
+	@echo "  scenario-bench   every scenarios/*.json world, 2 iterations each"
+	@echo "  clean            remove BENCH_*.json and bin/"

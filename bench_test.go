@@ -6,8 +6,9 @@
 package moteur
 
 import (
-	"errors"
 	"fmt"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,11 +16,11 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/diagram"
-	"repro/internal/federation"
 	"repro/internal/grid"
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/rng"
+	"repro/internal/scenario"
 	"repro/internal/services"
 	"repro/internal/sim"
 	"repro/internal/workflow"
@@ -409,292 +410,6 @@ func BenchmarkCampaignScale(b *testing.B) {
 	b.ReportMetric(float64(jobs), "jobs")
 }
 
-// BenchmarkFederationScale measures the federated brokering layer at
-// scale: 16 tenants enacting 8-service wrapper chains over nD=100 items,
-// brokered by the overhead-ranked policy across 4 heterogeneous member
-// grids (cluster counts shrink and UI latencies grow from grid 0 to
-// grid 3, seeds differ, cross-grid re-brokering enabled). Per-tenant
-// makespans and per-grid dispatch counts are captured on the first
-// iteration and asserted identical on every subsequent one, so the
-// benchmark doubles as a federation determinism check; sim_s reports the
-// campaign span, jobs the federation-wide terminal job count, and
-// grids_used how many members the policy actually exercised.
-func BenchmarkFederationScale(b *testing.B) {
-	const nGrids, nTenants, nServices, nD = 4, 16, 8, 100
-	mixes := []core.Options{
-		{ServiceParallelism: true, DataParallelism: true},
-		{ServiceParallelism: true, DataParallelism: true, JobGrouping: true},
-		{DataParallelism: true},
-		{ServiceParallelism: true, DataParallelism: true,
-			DataGroupSize: 8, DataGroupWindow: 2 * time.Minute},
-	}
-	tenants := func() []campaign.TenantSpec {
-		specs := make([]campaign.TenantSpec, nTenants)
-		for i := 0; i < nTenants; i++ {
-			specs[i] = campaign.TenantSpec{
-				Name:    fmt.Sprintf("t%02d", i),
-				Arrival: time.Duration(i) * time.Minute,
-				Opts:    mixes[i%len(mixes)],
-				Build:   campaign.SyntheticChain(nServices, nD, 2*time.Minute, 5),
-			}
-		}
-		return specs
-	}
-	var firstMakespans []time.Duration
-	var firstDispatch []int
-	var span time.Duration
-	var jobs, used int
-	for i := 0; i < b.N; i++ {
-		eng := sim.NewEngine()
-		fed, err := federation.New(eng, federation.Config{
-			Grids:    federation.HeterogeneousSpecs(nGrids, 1),
-			Policy:   federation.Ranked(),
-			Rebroker: 1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rep, err := campaign.RunSite(eng, campaign.OnFederation(fed), tenants(), campaign.Admission{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		makespans := make([]time.Duration, len(rep.Tenants))
-		for j, tr := range rep.Tenants {
-			if tr.Err != nil {
-				b.Fatalf("tenant %s: %v", tr.Name, tr.Err)
-			}
-			makespans[j] = tr.Makespan
-		}
-		dispatch := make([]int, fed.Size())
-		used = 0
-		for j := range dispatch {
-			dispatch[j] = fed.Telemetry(j).Dispatched
-			if dispatch[j] > 0 {
-				used++
-			}
-		}
-		if firstMakespans == nil {
-			firstMakespans, firstDispatch = makespans, dispatch
-		} else {
-			for j := range makespans {
-				if makespans[j] != firstMakespans[j] {
-					b.Fatalf("tenant %d makespan not deterministic: %v vs %v",
-						j, makespans[j], firstMakespans[j])
-				}
-			}
-			for j := range dispatch {
-				if dispatch[j] != firstDispatch[j] {
-					b.Fatalf("grid %d dispatch count not deterministic: %d vs %d",
-						j, dispatch[j], firstDispatch[j])
-				}
-			}
-		}
-		span = rep.Makespan
-		jobs = rep.Global.Jobs + rep.Global.Failed
-	}
-	b.ReportMetric(span.Seconds(), "sim_s")
-	b.ReportMetric(float64(jobs), "jobs")
-	b.ReportMetric(float64(used), "grids_used")
-}
-
-// BenchmarkFederationLocality measures the locality-aware brokering stack
-// end to end: 16 tenants enact 6-service wrapper chains over nD=60 items
-// across 4 heterogeneous member grids, every tenant's inputs fully
-// resident on a home grid (homes rotate across members) and cross-grid
-// fetches priced by the default WAN link model. The locality-aware ranked
-// policy must therefore resolve a replica plan per pick and per stage-in
-// — the hot path this benchmark times. Per-tenant makespans, per-grid
-// dispatch counts and per-grid WAN bytes are captured on the first
-// iteration and asserted identical on every subsequent one, so the
-// benchmark doubles as a locality-stack determinism check; sim_s reports
-// the campaign span, jobs the federation-wide terminal job count, wan_mb
-// the WAN bytes actually moved, and grids_used how many members the
-// policy exercised.
-func BenchmarkFederationLocality(b *testing.B) {
-	const nGrids, nTenants, nServices, nD = 4, 16, 6, 60
-	mixes := []core.Options{
-		{ServiceParallelism: true, DataParallelism: true},
-		{ServiceParallelism: true, DataParallelism: true, JobGrouping: true},
-		{DataParallelism: true},
-		{ServiceParallelism: true, DataParallelism: true,
-			DataGroupSize: 8, DataGroupWindow: 2 * time.Minute},
-	}
-	var firstMakespans []time.Duration
-	var firstDispatch []int
-	var firstWAN []float64
-	var span time.Duration
-	var jobs, used int
-	var wanMB float64
-	for i := 0; i < b.N; i++ {
-		eng := sim.NewEngine()
-		fed, err := federation.New(eng, federation.Config{
-			Grids:    federation.HeterogeneousSpecs(nGrids, 1),
-			Policy:   federation.Ranked(),
-			Rebroker: 1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		specs := make([]campaign.TenantSpec, nTenants)
-		for j := 0; j < nTenants; j++ {
-			home := grid.Site{Grid: fed.GridName(j % nGrids)}
-			specs[j] = campaign.TenantSpec{
-				Name:    fmt.Sprintf("t%02d", j),
-				Arrival: time.Duration(j) * time.Minute,
-				Opts:    mixes[j%len(mixes)],
-				Build:   campaign.SyntheticChainPlaced(nServices, nD, 2*time.Minute, 5, home, 1),
-			}
-		}
-		rep, err := campaign.RunSite(eng, campaign.OnFederation(fed), specs, campaign.Admission{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		makespans := make([]time.Duration, len(rep.Tenants))
-		for j, tr := range rep.Tenants {
-			if tr.Err != nil {
-				b.Fatalf("tenant %s: %v", tr.Name, tr.Err)
-			}
-			makespans[j] = tr.Makespan
-		}
-		dispatch := make([]int, fed.Size())
-		wan := make([]float64, fed.Size())
-		used, wanMB = 0, 0
-		for j := range dispatch {
-			// Grid.RemoteInMB counts the bytes actually moved (failed
-			// attempts included), unlike the telemetry's completed-jobs
-			// observation.
-			dispatch[j], wan[j] = fed.Telemetry(j).Dispatched, fed.Grid(j).RemoteInMB()
-			wanMB += wan[j]
-			if dispatch[j] > 0 {
-				used++
-			}
-		}
-		if firstMakespans == nil {
-			firstMakespans, firstDispatch, firstWAN = makespans, dispatch, wan
-		} else {
-			for j := range makespans {
-				if makespans[j] != firstMakespans[j] {
-					b.Fatalf("tenant %d makespan not deterministic: %v vs %v",
-						j, makespans[j], firstMakespans[j])
-				}
-			}
-			for j := range dispatch {
-				if dispatch[j] != firstDispatch[j] {
-					b.Fatalf("grid %d dispatch count not deterministic: %d vs %d",
-						j, dispatch[j], firstDispatch[j])
-				}
-				if wan[j] != firstWAN[j] {
-					b.Fatalf("grid %d WAN bytes not deterministic: %v vs %v",
-						j, wan[j], firstWAN[j])
-				}
-			}
-		}
-		span = rep.Makespan
-		jobs = rep.Global.Jobs + rep.Global.Failed
-	}
-	b.ReportMetric(span.Seconds(), "sim_s")
-	b.ReportMetric(float64(jobs), "jobs")
-	b.ReportMetric(wanMB, "wan_mb")
-	b.ReportMetric(float64(used), "grids_used")
-}
-
-// BenchmarkFederationContention measures the contended WAN fabric end to
-// end: the BenchmarkFederationLocality scenario (16 tenants with
-// grid-resident inputs across 4 heterogeneous grids, default WAN pricing)
-// with every ordered grid pair squeezed to two concurrent fetch legs
-// (Config.WANStreams = 2), so remote stage-ins queue on shared channels
-// and the broker's stretch telemetry actually learns. Per-tenant
-// makespans, per-grid dispatch counts, per-grid WAN bytes and per-grid
-// WAN-wait seconds are captured on the first iteration and asserted
-// identical on every subsequent one, so the benchmark doubles as a
-// contended-fabric determinism check; sim_s reports the campaign span,
-// jobs the federation-wide terminal job count, wan_mb the WAN bytes
-// moved, and wan_wait_s the total channel-wait time the fabric induced.
-func BenchmarkFederationContention(b *testing.B) {
-	const nGrids, nTenants, nServices, nD = 4, 16, 6, 60
-	mixes := []core.Options{
-		{ServiceParallelism: true, DataParallelism: true},
-		{ServiceParallelism: true, DataParallelism: true, JobGrouping: true},
-		{DataParallelism: true},
-		{ServiceParallelism: true, DataParallelism: true,
-			DataGroupSize: 8, DataGroupWindow: 2 * time.Minute},
-	}
-	var firstMakespans []time.Duration
-	var firstWAN []float64
-	var firstWait []time.Duration
-	var span time.Duration
-	var jobs int
-	var wanMB float64
-	var wanWait time.Duration
-	for i := 0; i < b.N; i++ {
-		eng := sim.NewEngine()
-		fed, err := federation.New(eng, federation.Config{
-			Grids:      federation.HeterogeneousSpecs(nGrids, 1),
-			Policy:     federation.Ranked(),
-			Rebroker:   1,
-			WANStreams: 2,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		specs := make([]campaign.TenantSpec, nTenants)
-		for j := 0; j < nTenants; j++ {
-			home := grid.Site{Grid: fed.GridName(j % nGrids)}
-			specs[j] = campaign.TenantSpec{
-				Name:    fmt.Sprintf("t%02d", j),
-				Arrival: time.Duration(j) * time.Minute,
-				Opts:    mixes[j%len(mixes)],
-				Build:   campaign.SyntheticChainPlaced(nServices, nD, 2*time.Minute, 5, home, 1),
-			}
-		}
-		rep, err := campaign.RunSite(eng, campaign.OnFederation(fed), specs, campaign.Admission{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		makespans := make([]time.Duration, len(rep.Tenants))
-		for j, tr := range rep.Tenants {
-			if tr.Err != nil {
-				b.Fatalf("tenant %s: %v", tr.Name, tr.Err)
-			}
-			makespans[j] = tr.Makespan
-		}
-		wan := make([]float64, fed.Size())
-		wait := make([]time.Duration, fed.Size())
-		wanMB, wanWait = 0, 0
-		for j := range wan {
-			wan[j], wait[j] = fed.Grid(j).RemoteInMB(), fed.Grid(j).WANWait()
-			wanMB += wan[j]
-			wanWait += wait[j]
-		}
-		if firstMakespans == nil {
-			firstMakespans, firstWAN, firstWait = makespans, wan, wait
-		} else {
-			for j := range makespans {
-				if makespans[j] != firstMakespans[j] {
-					b.Fatalf("tenant %d makespan not deterministic: %v vs %v",
-						j, makespans[j], firstMakespans[j])
-				}
-			}
-			for j := range wan {
-				if wan[j] != firstWAN[j] {
-					b.Fatalf("grid %d WAN bytes not deterministic: %v vs %v",
-						j, wan[j], firstWAN[j])
-				}
-				if wait[j] != firstWait[j] {
-					b.Fatalf("grid %d WAN wait not deterministic: %v vs %v",
-						j, wait[j], firstWait[j])
-				}
-			}
-		}
-		span = rep.Makespan
-		jobs = rep.Global.Jobs + rep.Global.Failed
-	}
-	b.ReportMetric(span.Seconds(), "sim_s")
-	b.ReportMetric(float64(jobs), "jobs")
-	b.ReportMetric(wanMB, "wan_mb")
-	b.ReportMetric(wanWait.Seconds(), "wan_wait_s")
-}
-
 // BenchmarkGridThroughput measures the raw event rate of the grid
 // simulator: jobs completed per wall second under burst submission.
 func BenchmarkGridThroughput(b *testing.B) {
@@ -834,116 +549,76 @@ func BenchmarkAblationDataGrouping(b *testing.B) {
 	}
 }
 
-// BenchmarkStorageChurn measures the active storage layer end to end:
-// 4 heterogeneous grids whose storage elements have finite capacity and
-// popularity-weighted eviction, a replicated reference corpus whose
-// third copies are churned out under capacity pressure, a k=2
-// replication floor that repairs every single-copy output up to two
-// sites, and two correlated storage-outage windows that force in-flight
-// fetch legs to re-stage from surviving replicas. Per-grid dispatch and
-// re-staging counts, per-element eviction totals, repair totals and the
-// terminal job mix are captured on the first iteration and asserted
-// identical on every subsequent one, so the benchmark doubles as the
-// storage-churn determinism check. sim_s reports the last terminal job
-// time, jobs the terminal job count, evicted_mb the bytes drained under
-// capacity pressure, repairs the replica copies the floor commissioned,
-// restage_rounds the backed-off re-staging rounds the outages forced,
-// and lost the jobs that failed with ErrReplicaLost.
-func BenchmarkStorageChurn(b *testing.B) {
-	const (
-		nGrids = 4
-		nFiles = 24
-		nJobs  = 200
-		fileMB = 30
-	)
-	var firstVec []string
-	var span time.Duration
-	var jobs, lost, restage int
-	var evictedMB, repairedMB float64
-	var repairs int
+// BenchmarkScenario runs every library scenario (scenarios/*.json) as one
+// sub-benchmark named after the spec, so a benchmark world is a spec
+// file rather than hand-assembled Go. Each iteration compiles the spec
+// on a fresh engine and runs it to completion; the benchmark
+// fails on any tenant error or when an iteration's scenario.Fingerprint
+// differs from the first, so it doubles as a determinism check. sim_s
+// reports the campaign span, jobs the terminal job count, wan_mb the
+// WAN bytes actually moved, wan_wait_s the channel-wait time the
+// contended fabric induced, evicted_mb the bytes drained under storage
+// capacity pressure and repairs the replica copies the replication floor
+// commissioned.
+func BenchmarkScenario(b *testing.B) {
+	paths, err := filepath.Glob("scenarios/*.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, path := range paths {
+		// TestScenarioLibraryLoads keeps every file named after its spec.
+		name := strings.TrimSuffix(filepath.Base(path), ".json")
+		b.Run(name, func(b *testing.B) { benchScenario(b, path) })
+	}
+}
+
+// benchScenario is one BenchmarkScenario sub-benchmark. The timed
+// region is what a run costs — compiling the world and enacting it; the
+// determinism check runs with the timer stopped, so its formatting does
+// not count against allocation budgets.
+func benchScenario(b *testing.B, path string) {
+	spec, err := scenario.Load(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var first uint64
+	var rep *campaign.Report
+	var w *scenario.World
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng := sim.NewEngine()
-		fed, err := federation.New(eng, federation.Config{
-			Grids:      federation.HeterogeneousSpecs(nGrids, 1),
-			Policy:     federation.RankedSafe(),
-			Rebroker:   1,
-			WANStreams: 2,
-			// 400 MB per element against a 540 MB corpus share: the
-			// third corpus copies churn, the floor-protected ones stay.
-			SECapacityMB: 400,
-			SEEviction:   grid.EvictPopularity(),
-			MinReplicas:  2,
-			Outages: []federation.Outage{
-				{Grid: "grid01", At: 20 * time.Minute, For: 15 * time.Minute, Storage: true},
-				{Grid: "grid02", At: 25 * time.Minute, For: 15 * time.Minute, Storage: true},
-				{Grid: "grid01", At: 60 * time.Minute, For: 10 * time.Minute, Storage: true},
-			},
-		})
-		if err != nil {
+		if w, err = scenario.Compile(sim.NewEngine(), spec); err != nil {
 			b.Fatal(err)
 		}
-		cat := fed.Catalog()
-		corpus := make([]string, nFiles)
-		for j := 0; j < nFiles; j++ {
-			corpus[j] = fmt.Sprintf("gfn://corpus/%03d", j)
-			cat.RegisterAt(corpus[j], fileMB, grid.Site{Grid: fed.GridName(j % nGrids)})
-			cat.AddReplica(corpus[j], grid.Site{Grid: fed.GridName((j + 1) % nGrids)})
-			cat.AddReplica(corpus[j], grid.Site{Grid: fed.GridName((j + 2) % nGrids)})
+		if rep, err = w.Run(); err != nil {
+			b.Fatal(err)
 		}
-		for k := 0; k < nJobs; k++ {
-			k := k
-			eng.Schedule(sim.Time(k)*sim.Time(30*time.Second), func() {
-				fed.Submit(grid.JobSpec{
-					Name: fmt.Sprintf("job%03d", k),
-					// Deterministic heavy tail: a hot head of 5 files
-					// plus a quadratic scatter over the whole corpus.
-					Inputs: []string{corpus[k%5], corpus[(k*k)%nFiles]},
-					Outputs: []grid.FileDecl{
-						{Name: fmt.Sprintf("gfn://derived/%03d", k), SizeMB: 40},
-					},
-					Runtime: time.Minute,
-				}, func(*grid.JobRecord) {})
-			})
-		}
-		eng.Run()
-
-		var vec []string
-		span, jobs, lost, restage, repairs = 0, 0, 0, 0, fed.Repairs()
-		evictedMB, repairedMB = 0, fed.RepairedMB()
-		for _, rec := range fed.Records() {
-			jobs++
-			if errors.Is(rec.Err, grid.ErrReplicaLost) {
-				lost++
-			}
-			if t := time.Duration(rec.Completed); t > span {
-				span = t
+		b.StopTimer()
+		for _, tr := range rep.Tenants {
+			if tr.Err != nil {
+				b.Fatalf("tenant %s: %v", tr.Name, tr.Err)
 			}
 		}
-		for j := 0; j < fed.Size(); j++ {
-			restage += int(fed.Grid(j).Restages())
-			vec = append(vec, fmt.Sprintf("%s|%d|%d",
-				fed.GridName(j), fed.Telemetry(j).Dispatched, fed.Grid(j).Restages()))
+		fp := scenario.Fingerprint(rep, w.Fed)
+		if i == 0 {
+			first = fp
+		} else if fp != first {
+			b.Fatalf("iteration %d not deterministic: fingerprint %#x, want %#x", i, fp, first)
 		}
-		for _, st := range cat.SEStats() {
-			evictedMB += st.EvictedMB
-			vec = append(vec, fmt.Sprintf("%s/%s|%d|%.1f|%.1f",
-				st.Site.Grid, st.Site.Cluster, st.Evictions, st.EvictedMB, st.PeakMB))
-		}
-		vec = append(vec, fmt.Sprintf("repairs|%d|%.1f|lost|%d", repairs, repairedMB, lost))
-		if firstVec == nil {
-			firstVec = vec
-		} else {
-			for j := range vec {
-				if vec[j] != firstVec[j] {
-					b.Fatalf("storage churn not deterministic at %d: %q vs %q", j, vec[j], firstVec[j])
-				}
-			}
-		}
+		b.StartTimer()
 	}
-	b.ReportMetric(span.Seconds(), "sim_s")
-	b.ReportMetric(float64(jobs), "jobs")
+	var wanMB, evictedMB float64
+	var wanWait time.Duration
+	for i := 0; i < w.Fed.Size(); i++ {
+		wanMB += w.Fed.Grid(i).RemoteInMB()
+		wanWait += w.Fed.Grid(i).WANWait()
+	}
+	for _, st := range w.Fed.Catalog().SEStats() {
+		evictedMB += st.EvictedMB
+	}
+	b.ReportMetric(rep.Makespan.Seconds(), "sim_s")
+	b.ReportMetric(float64(rep.Global.Jobs+rep.Global.Failed), "jobs")
+	b.ReportMetric(wanMB, "wan_mb")
+	b.ReportMetric(wanWait.Seconds(), "wan_wait_s")
 	b.ReportMetric(evictedMB, "evicted_mb")
-	b.ReportMetric(float64(repairs), "repairs")
-	b.ReportMetric(float64(restage), "restage_rounds")
-	b.ReportMetric(float64(lost), "lost")
+	b.ReportMetric(float64(w.Fed.Repairs()), "repairs")
 }

@@ -2,11 +2,14 @@
 // campaign: the same multi-tenant load is enacted once per policy on a
 // fresh, identically-seeded federation of heterogeneous grids, so the
 // per-policy makespan distributions and per-grid dispatch tables are
-// directly comparable. The member grids are derived from the default
-// production-grid model with skewed capacity and UI latency
-// (federation.HeterogeneousSpecs), which is the regime where brokering
-// matters: a policy blind to middleware quality parks load behind slow
-// serialized UIs.
+// directly comparable. Every world is built by the scenario compiler:
+// the flags synthesize one scenario.Spec — member grids from
+// scenario.HeterogeneousGrids (the default production-grid model with
+// skewed capacity and UI latency, the regime where brokering matters: a
+// policy blind to middleware quality parks load behind slow serialized
+// UIs), one staggered tenant group rotating four option mixes — and each
+// sweep cell re-sets the spec's broker policy, skew or WAN bandwidth,
+// then compiles and runs it on a fresh engine.
 //
 // Data locality is first-class: a -skew fraction of each tenant's inputs
 // is placed on its home grid (homes rotate across members), cross-grid
@@ -63,39 +66,23 @@ import (
 	"time"
 
 	"repro/internal/campaign"
-	"repro/internal/core"
 	"repro/internal/federation"
 	"repro/internal/grid"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
-// mixes is the optimization rotation across tenants, as in cmd/campaign.
-var mixes = []core.Options{
-	{ServiceParallelism: true, DataParallelism: true},
-	{ServiceParallelism: true, DataParallelism: true, JobGrouping: true},
-	{DataParallelism: true},
-	{ServiceParallelism: true, DataParallelism: true, DataGroupSize: 4, DataGroupWindow: time.Minute},
-}
-
-// sweep carries the scenario knobs shared by every run of one
-// invocation: infrastructure shape, workload shape, link topology,
-// contention and outage schedule.
-type sweep struct {
-	grids, tenants, servs, items int
-	runtime                      time.Duration
-	fileMB                       float64
-	spread                       time.Duration
-	seed                         uint64
-	rebroker                     int
-	skew                         float64
-	links                        grid.LinkModel
-	wanStreams                   int
-	outages                      []federation.Outage
-	seCap                        float64
-	sePolicy                     grid.EvictionPolicy
-	minReplicas                  int
-}
+// mixes is the optimization rotation across tenants, as in cmd/campaign;
+// tenant i of the flag-mode group runs mixOrder[i%4].
+var (
+	mixes = map[string]scenario.OptionsSpec{
+		"spdp":       {ServiceParallelism: true, DataParallelism: true},
+		"spdp-jg":    {ServiceParallelism: true, DataParallelism: true, JobGrouping: true},
+		"dp":         {DataParallelism: true},
+		"spdp-batch": {ServiceParallelism: true, DataParallelism: true, DataGroupSize: 4, DataGroupWindow: scenario.Duration(time.Minute)},
+	}
+	mixOrder = scenario.PolicyList{"spdp", "spdp-jg", "dp", "spdp-batch"}
+)
 
 func main() {
 	var (
@@ -132,198 +119,215 @@ func main() {
 		scenarioTable(*scenariosPat)
 		return
 	}
+	var outages []scenario.OutageSpec
+	for _, fl := range []struct {
+		name, val string
+		storage   bool
+	}{{"outage", *outage, false}, {"se-outage", *seOutage, true}} {
+		if fl.val == "" {
+			continue
+		}
+		o, err := scenario.ParseOutage(fl.val)
+		if err != nil {
+			exit(2, "-%s: %v", fl.name, err)
+		}
+		o.Storage = fl.storage
+		outages = append(outages, o)
+	}
 	if *scenarioPath != "" {
 		set := make(map[string]bool)
 		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 		for _, name := range []string{"grids", "wan", "wanlat", "pairs", "locality", "skews", "wans"} {
 			if set[name] {
-				fmt.Fprintf(os.Stderr, "federation: -%s cannot override a scenario; edit the spec's grids/links sections instead\n", name)
-				os.Exit(2)
+				exit(2, "-%s cannot override a scenario; edit the spec's grids/links sections instead", name)
 			}
 		}
-		ov := scenario.Overrides{}
-		if set["seed"] {
-			ov.Seed = seed
+		if set["policies"] && strings.Contains(*policies, ",") {
+			exit(2, "-policies with -scenario overrides the broker policy and takes exactly one name")
 		}
-		if set["rebroker"] {
-			ov.Rebroker = rebroker
-		}
-		if set["wanstreams"] {
-			ov.WANStreams = wanStreams
-		}
-		if set["se-cap"] {
-			ov.SECapacityMB = seCap
-		}
-		if set["se-policy"] {
-			ov.SEEviction = sePolicy
-		}
-		if set["minreplicas"] {
-			ov.MinReplicas = minRep
-		}
-		if set["tenants"] {
-			ov.Tenants = tenants
-		}
-		if set["services"] {
-			ov.Stages = servs
-		}
-		if set["items"] {
-			ov.Items = items
-		}
-		if set["runtime"] {
-			ov.Runtime = runtime
-		}
-		if set["filemb"] {
-			ov.FileMB = fileMB
-		}
-		if set["spread"] {
-			ov.Spread = spread
-		}
-		if set["skew"] {
-			ov.Skew = skew
-		}
-		if set["policies"] {
-			if strings.Contains(*policies, ",") {
-				fmt.Fprintln(os.Stderr, "federation: -policies with -scenario overrides the broker policy and takes exactly one name")
-				os.Exit(2)
-			}
-			ov.Policy = policies
-		}
-		for _, fl := range []struct {
-			name, val string
-			storage   bool
-		}{{"outage", *outage, false}, {"se-outage", *seOutage, true}} {
-			if !set[fl.name] {
-				continue
-			}
-			o, err := scenario.ParseOutage(fl.val)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "federation: -%s: %v\n", fl.name, err)
-				os.Exit(2)
-			}
-			ov.Outages = append(ov.Outages, scenario.OutageSpec{
-				Grid: o.Grid, At: scenario.Duration(o.At), For: scenario.Duration(o.For), Storage: fl.storage,
-			})
+		ov := scenario.Overrides{
+			Seed:         ifSet(set, "seed", seed),
+			Policy:       ifSet(set, "policies", policies),
+			WANStreams:   ifSet(set, "wanstreams", wanStreams),
+			Rebroker:     ifSet(set, "rebroker", rebroker),
+			SECapacityMB: ifSet(set, "se-cap", seCap),
+			SEEviction:   ifSet(set, "se-policy", sePolicy),
+			MinReplicas:  ifSet(set, "minreplicas", minRep),
+			Outages:      outages,
+			Tenants:      ifSet(set, "tenants", tenants),
+			Stages:       ifSet(set, "services", servs),
+			Items:        ifSet(set, "items", items),
+			Runtime:      ifSet(set, "runtime", runtime),
+			Skew:         ifSet(set, "skew", skew),
+			FileMB:       ifSet(set, "filemb", fileMB),
+			Spread:       ifSet(set, "spread", spread),
 		}
 		runScenario(*scenarioPath, ov, *verbose)
 		return
 	}
 
-	s := sweep{
-		grids: *grids, tenants: *tenants, servs: *servs, items: *items,
-		runtime: *runtime, fileMB: *fileMB, spread: *spread,
-		seed: *seed, rebroker: *rebroker, skew: *skew,
-		links: links(*wan, *wanLat), wanStreams: *wanStreams,
-		seCap: *seCap, minReplicas: *minRep,
+	// Flag mode: synthesize the world as a spec.
+	if *tenants < 1 {
+		exit(2, "-tenants must be positive, got %d", *tenants)
 	}
-	ev, err := scenario.ParseEviction(*sePolicy)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "federation: -se-policy:", err)
-		os.Exit(2)
+	if *seed == 0 {
+		exit(2, "-seed must be positive (grid i seeds at seed+i, and a spec seed of 0 means 1)")
 	}
-	s.sePolicy = ev
+	links := &scenario.LinksSpec{}
 	if *pairs != "" {
-		lm, err := scenario.ParsePairs(*pairs, s.links)
+		ps, err := scenario.ParsePairs(*pairs)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "federation: -pairs:", err)
-			os.Exit(2)
+			exit(2, "-pairs: %v", err)
 		}
-		s.links = lm
+		links.Pairs = ps
 	}
-	if *outage != "" {
-		o, err := scenario.ParseOutage(*outage)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "federation: -outage:", err)
-			os.Exit(2)
-		}
-		s.outages = []federation.Outage{o}
+	setWAN(links, *wan, *wanLat)
+	spec := &scenario.Spec{
+		Name:       "flags",
+		Seed:       *seed,
+		Grids:      scenario.HeterogeneousGrids(*grids, *seed),
+		Links:      links,
+		WANStreams: *wanStreams,
+		Outages:    outages,
+		Storage:    &scenario.StorageSpec{CapacityMB: *seCap, Eviction: *sePolicy, MinReplicas: *minRep},
+		Broker:     &scenario.BrokerSpec{Rebroker: *rebroker},
+		Policies:   mixes,
+		Tenants: []scenario.TenantGroup{{
+			Count:    *tenants,
+			Prefix:   "t",
+			Policy:   mixOrder,
+			Arrivals: &scenario.ArrivalSpec{Kind: "staggered", Spread: scenario.Duration(*spread)},
+			Workload: scenario.WorkloadSpec{
+				Stages:  *servs,
+				Items:   *items,
+				Runtime: scenario.Duration(*runtime),
+				Sizes:   scenario.SizeSpec{Kind: "constant", MeanMB: *fileMB},
+				Skew:    *skew,
+			},
+		}},
 	}
-	if *seOutage != "" {
-		o, err := scenario.ParseOutage(*seOutage)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "federation: -se-outage:", err)
-			os.Exit(2)
-		}
-		o.Storage = true
-		s.outages = append(s.outages, o)
+	spec.Tenants[0].Workload.Homes = spec.GridNames()
+	if err := spec.Validate(); err != nil {
+		exit(2, "%v", err)
 	}
-
 	if *locality {
-		localitySweep(s, *wanLat, *skews, *wans)
+		localitySweep(spec, *wanLat, *skews, *wans)
 		return
 	}
+	policySweep(spec, *policies, *wan, *verbose)
+}
 
-	var pols []federation.Policy
-	for _, name := range strings.Split(*policies, ",") {
-		p, err := scenario.ParsePolicy(strings.TrimSpace(name), s.grids)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "federation:", err)
-			os.Exit(2)
-		}
-		pols = append(pols, p)
+// ifSet returns the flag's value pointer when the flag was set on the
+// command line, nil (no override) otherwise.
+func ifSet[T any](set map[string]bool, name string, v *T) *T {
+	if set[name] {
+		return v
 	}
+	return nil
+}
 
+// exit prints a prefixed error and exits with the code: 2 for bad input,
+// 1 for a world or run that failed.
+func exit(code int, format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "federation: "+format+"\n", args...)
+	os.Exit(code)
+}
+
+// setWAN prices the spec's cross-grid class link. A non-positive
+// bandwidth means free staging regardless of the latency — a
+// latency-only WAN is not expressible from the CLI: local links, or,
+// under a -pairs matrix, zero class links, which price unlisted pairs as
+// local.
+func setWAN(l *scenario.LinksSpec, mbps float64, lat time.Duration) {
+	l.Local = mbps <= 0 && len(l.Pairs) == 0
+	l.WANMBps, l.WANLatency = 0, 0
+	if mbps > 0 {
+		l.WANMBps, l.WANLatency = mbps, scenario.Duration(lat)
+	}
+}
+
+// run compiles the spec on a fresh engine and enacts it.
+func run(spec *scenario.Spec) (*campaign.Report, *federation.Federation) {
+	w, err := scenario.Compile(sim.NewEngine(), spec)
+	if err != nil {
+		exit(1, "%v", err)
+	}
+	rep, err := w.Run()
+	if err != nil {
+		exit(1, "%v", err)
+	}
+	return rep, w.Fed
+}
+
+// policySweep runs the synthesized world once per broker policy and
+// prints one results row each.
+func policySweep(spec *scenario.Spec, policies string, wan float64, verbose bool) {
+	var names []string
+	for _, name := range strings.Split(policies, ",") {
+		name = strings.TrimSpace(name)
+		if _, err := scenario.ParsePolicy(name, len(spec.Grids)); err != nil {
+			exit(2, "%v", err)
+		}
+		names = append(names, name)
+	}
+	g := spec.Tenants[0]
 	fmt.Printf("federation sweep: %d tenants × %d-stage chains × %d items over %d heterogeneous grids (seed %d, rebroker %d, skew %.2f, wan %.1f MB/s, streams %d)\n",
-		s.tenants, s.servs, s.items, s.grids, s.seed, s.rebroker, s.skew, *wan, s.wanStreams)
-	for _, o := range s.outages {
+		g.Count, g.Workload.Stages, g.Workload.Items, len(spec.Grids), spec.Seed, spec.Broker.Rebroker, g.Workload.Skew, wan, spec.WANStreams)
+	banner(spec)
+	header("policy", 16)
+	for _, name := range names {
+		spec.Broker.Policy = name
+		rep, fed := run(spec)
+		row(fed.Policy().Name(), 16, rep, fed)
+		if verbose {
+			printVerbose(fed)
+		}
+	}
+}
+
+// banner prints the outage windows and storage configuration every cell
+// of a sweep inherits — without it a table would read as a clean
+// experiment — then the blank line above the table.
+func banner(spec *scenario.Spec) {
+	for _, o := range spec.Outages {
 		dim := "dark"
 		if o.Storage {
 			dim = "storage dark"
 		}
 		if o.For > 0 {
-			fmt.Printf("outage: %s %s from %v to %v\n", o.Grid, dim, o.At, o.At+o.For)
+			fmt.Printf("outage: %s %s from %v to %v\n", o.Grid, dim, o.At.D(), (o.At + o.For).D())
 		} else {
-			fmt.Printf("outage: %s %s from %v (no recovery)\n", o.Grid, dim, o.At)
+			fmt.Printf("outage: %s %s from %v (no recovery)\n", o.Grid, dim, o.At.D())
 		}
 	}
-	if s.seCap > 0 {
-		fmt.Printf("storage: %.0f MB per element, %s eviction, replication floor %d\n", s.seCap, *sePolicy, s.minReplicas)
-	} else if s.minReplicas > 0 {
-		fmt.Printf("storage: unlimited elements, replication floor %d\n", s.minReplicas)
+	if st := spec.Storage; st.CapacityMB > 0 {
+		fmt.Printf("storage: %.0f MB per element, %s eviction, replication floor %d\n", st.CapacityMB, st.Eviction, st.MinReplicas)
+	} else if st.MinReplicas > 0 {
+		fmt.Printf("storage: unlimited elements, replication floor %d\n", st.MinReplicas)
 	}
 	fmt.Println()
-	header("policy", 16)
-
-	for _, policy := range pols {
-		rep, fed := s.run(policy)
-		row(policy.Name(), 16, rep, fed)
-		if *verbose {
-			printVerbose(fed)
-		}
-	}
 }
 
 // runScenario compiles and runs one spec file with CLI overrides applied.
 func runScenario(path string, ov scenario.Overrides, verbose bool) {
 	spec, err := scenario.Load(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "federation:", err)
-		os.Exit(2)
+		exit(2, "%v", err)
 	}
 	if err := ov.Apply(spec); err != nil {
-		fmt.Fprintln(os.Stderr, "federation:", err)
-		os.Exit(2)
+		exit(2, "%v", err)
 	}
-	eng := sim.NewEngine()
-	w, err := scenario.Compile(eng, spec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "federation:", err)
-		os.Exit(1)
-	}
+	rep, fed := run(spec)
 	if spec.Description != "" {
 		fmt.Printf("scenario %s: %s\n", spec.Name, spec.Description)
 	} else {
 		fmt.Printf("scenario %s\n", spec.Name)
 	}
 	fmt.Printf("%d grids, %d tenants, seed %d\n\n", len(spec.GridNames()), spec.TenantCount(), spec.Seed)
-	rep, err := w.Run()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "federation:", err)
-		os.Exit(1)
-	}
 	header("scenario", 20)
-	row(spec.Name, 20, rep, w.Fed)
+	row(spec.Name, 20, rep, fed)
 	if verbose {
-		printVerbose(w.Fed)
+		printVerbose(fed)
 	}
 }
 
@@ -332,12 +336,10 @@ func runScenario(path string, ov scenario.Overrides, verbose bool) {
 func scenarioTable(pattern string) {
 	paths, err := filepath.Glob(pattern)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "federation: -scenarios:", err)
-		os.Exit(2)
+		exit(2, "-scenarios: %v", err)
 	}
 	if len(paths) == 0 {
-		fmt.Fprintf(os.Stderr, "federation: -scenarios: no files match %q\n", pattern)
-		os.Exit(2)
+		exit(2, "-scenarios: no files match %q", pattern)
 	}
 	sort.Strings(paths)
 	fmt.Printf("scenario library: %d scenarios\n\n", len(paths))
@@ -345,21 +347,10 @@ func scenarioTable(pattern string) {
 	for _, p := range paths {
 		spec, err := scenario.Load(p)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "federation:", err)
-			os.Exit(1)
+			exit(1, "%v", err)
 		}
-		eng := sim.NewEngine()
-		w, err := scenario.Compile(eng, spec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "federation:", err)
-			os.Exit(1)
-		}
-		rep, err := w.Run()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "federation:", err)
-			os.Exit(1)
-		}
-		row(spec.Name, 20, rep, w.Fed)
+		rep, fed := run(spec)
+		row(spec.Name, 20, rep, fed)
 	}
 }
 
@@ -370,48 +361,60 @@ func header(label string, width int) {
 		width, label, "span", "p50", "p95", "jobs", "failed", "resubmits", "wan_mb", "wan_wait", "evicted_mb", "lost", "restage", "grids")
 }
 
-// row aggregates one run into a results-table row: makespan percentiles
-// across tenants, WAN bytes and waits actually paid, storage churn and
-// replica-loss counts.
-func row(label string, width int, rep *campaign.Report, fed *federation.Federation) {
-	ms := make([]time.Duration, 0, len(rep.Tenants))
+// summary aggregates one run for the results tables: the sorted makespans
+// of the tenants that succeeded, WAN bytes and waits actually paid
+// (failed attempts included, not the telemetry's completed-jobs
+// observation), storage churn, replica losses, re-staging rounds and the
+// number of grids that received work.
+type summary struct {
+	ms               []time.Duration
+	wanMB, evictedMB float64
+	wanWait          time.Duration
+	lost, used       int
+	restage          uint64
+}
+
+// summarize builds a run's summary, reporting failed tenants under the
+// row label.
+func summarize(label string, rep *campaign.Report, fed *federation.Federation) summary {
+	var s summary
 	for _, tr := range rep.Tenants {
 		if tr.Err != nil {
 			fmt.Fprintf(os.Stderr, "federation: %s: tenant %s: %v\n", label, tr.Name, tr.Err)
 			continue
 		}
-		ms = append(ms, tr.Makespan)
+		s.ms = append(s.ms, tr.Makespan)
 	}
-	sort.Slice(ms, func(i, j int) bool { return ms[i] < ms[j] })
-	used, restage := 0, uint64(0)
-	var wanMB float64
-	var wanWait time.Duration
+	sort.Slice(s.ms, func(i, j int) bool { return s.ms[i] < s.ms[j] })
 	for i := 0; i < fed.Size(); i++ {
 		if fed.Telemetry(i).Dispatched > 0 {
-			used++
+			s.used++
 		}
-		// Bytes actually moved and waits actually paid (failed
-		// attempts included), not the telemetry's completed-jobs
-		// observation.
-		wanMB += fed.Grid(i).RemoteInMB()
-		wanWait += fed.Grid(i).WANWait()
-		restage += fed.Grid(i).Restages()
+		s.wanMB += fed.Grid(i).RemoteInMB()
+		s.wanWait += fed.Grid(i).WANWait()
+		s.restage += fed.Grid(i).Restages()
 	}
-	var evictedMB float64
 	for _, st := range fed.Catalog().SEStats() {
-		evictedMB += st.EvictedMB
+		s.evictedMB += st.EvictedMB
 	}
-	lost := 0
 	for _, rec := range fed.Records() {
 		if errors.Is(rec.Err, grid.ErrReplicaLost) {
-			lost++
+			s.lost++
 		}
 	}
+	return s
+}
+
+// row prints one run as a results-table row: makespan percentiles across
+// tenants, job counts, WAN bytes and waits, storage churn and
+// replica-loss counts.
+func row(label string, width int, rep *campaign.Report, fed *federation.Federation) {
+	s := summarize(label, rep, fed)
 	fmt.Printf("%-*s %12v %12v %12v %6d %6d %10d %10.0f %10v %10.0f %5d %8d %3d/%d\n",
 		width, label, rep.Makespan.Round(time.Second),
-		pct(ms, 50).Round(time.Second), pct(ms, 95).Round(time.Second),
-		rep.Global.Jobs, rep.Global.Failed, rep.Global.Resubmits, wanMB,
-		wanWait.Round(time.Second), evictedMB, lost, restage, used, fed.Size())
+		pct(s.ms, 50).Round(time.Second), pct(s.ms, 95).Round(time.Second),
+		rep.Global.Jobs, rep.Global.Failed, rep.Global.Resubmits, s.wanMB,
+		s.wanWait.Round(time.Second), s.evictedMB, s.lost, s.restage, s.used, fed.Size())
 }
 
 // printVerbose prints the per-grid telemetry, fabric and storage tables.
@@ -446,114 +449,36 @@ func printVerbose(fed *federation.Federation) {
 	}
 }
 
-// links builds the sweep's link model: cross-grid fetches at the given
-// bandwidth and latency, intra-grid free. A non-positive bandwidth means
-// the advertised free-staging baseline (grid.LocalLinks), regardless of
-// the latency flag — a latency-only WAN is not expressible from the CLI.
-func links(wanMBps float64, wanLat time.Duration) grid.LinkModel {
-	if wanMBps <= 0 {
-		return grid.LocalLinks()
-	}
-	return &grid.Links{WAN: grid.Link{MBps: wanMBps, Latency: wanLat}}
-}
-
-// run enacts the standard tenant load on a fresh federation under one
-// policy.
-func (s sweep) run(policy federation.Policy) (*campaign.Report, *federation.Federation) {
-	eng := sim.NewEngine()
-	fed, err := federation.New(eng, federation.Config{
-		Grids:      federation.HeterogeneousSpecs(s.grids, s.seed),
-		Policy:     policy,
-		Rebroker:   s.rebroker,
-		Links:      s.links,
-		WANStreams: s.wanStreams,
-		Outages:    s.outages,
-		// Active storage: finite elements, eviction, k-replication repair.
-		SECapacityMB: s.seCap,
-		SEEviction:   s.sePolicy,
-		MinReplicas:  s.minReplicas,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "federation:", err)
-		os.Exit(1)
-	}
-	specs := make([]campaign.TenantSpec, s.tenants)
-	for i := range specs {
-		home := grid.Site{Grid: fed.GridName(i % s.grids)}
-		specs[i] = campaign.TenantSpec{
-			Name:    fmt.Sprintf("t%02d", i),
-			Arrival: time.Duration(i) * s.spread,
-			Opts:    mixes[i%len(mixes)],
-			Build:   campaign.SyntheticChainPlaced(s.servs, s.items, s.runtime, s.fileMB, home, s.skew),
-		}
-	}
-	rep, err := campaign.RunSite(eng, campaign.OnFederation(fed), specs, campaign.Admission{})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "federation:", err)
-		os.Exit(1)
-	}
-	return rep, fed
-}
-
 // localitySweep maps campaign span/p95 and WAN traffic over replica skew ×
 // WAN bandwidth for the locality-aware ranked policy, its locality-blind
-// control and least-backlog.
-func localitySweep(s sweep, wanLat time.Duration, skews, wans string) {
+// control and least-backlog. A -pairs matrix survives the sweep: its
+// listed pairs stay fixed while the swept bandwidth replaces only the
+// class link of unlisted pairs.
+func localitySweep(spec *scenario.Spec, wanLat time.Duration, skews, wans string) {
 	skewVals, err := scenario.ParseFloats(skews)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "federation: -skews:", err)
-		os.Exit(2)
+		exit(2, "-skews: %v", err)
 	}
 	wanVals, err := scenario.ParseFloats(wans)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "federation: -wans:", err)
-		os.Exit(2)
+		exit(2, "-wans: %v", err)
 	}
-	pols := []federation.Policy{federation.Ranked(), federation.RankedLocalityBlind(), federation.LeastBacklog()}
-
+	g := &spec.Tenants[0]
 	fmt.Printf("locality sweep: %d tenants × %d-stage chains × %d items over %d heterogeneous grids (seed %d, wanlat %v, streams %d)\n",
-		s.tenants, s.servs, s.items, s.grids, s.seed, wanLat, s.wanStreams)
-	// An inherited -outage applies to every cell; without a banner the
-	// table would read as a clean locality experiment.
-	for _, o := range s.outages {
-		if o.For > 0 {
-			fmt.Printf("outage: %s dark from %v to %v\n", o.Grid, o.At, o.At+o.For)
-		} else {
-			fmt.Printf("outage: %s dark from %v (no recovery)\n", o.Grid, o.At)
-		}
-	}
-	fmt.Println()
+		g.Count, g.Workload.Stages, g.Workload.Items, len(spec.Grids), spec.Seed, wanLat, spec.WANStreams)
+	banner(spec)
 	fmt.Printf("%-5s %-8s %-16s %12s %12s %10s %10s\n", "skew", "wanMBps", "policy", "span", "p95", "wan_mb", "wan_wait")
 	for _, sk := range skewVals {
 		for _, w := range wanVals {
-			for _, pol := range pols {
-				run := s
-				run.skew, run.links = sk, links(w, wanLat)
-				// A -pairs matrix survives the sweep: its listed pairs
-				// stay fixed while the swept bandwidth replaces only the
-				// fallback for unlisted pairs.
-				if m, ok := s.links.(*grid.LinkMatrix); ok {
-					run.links = &grid.LinkMatrix{Pairs: m.Pairs, Fallback: links(w, wanLat)}
-				}
-				rep, fed := run.run(pol)
-				ms := make([]time.Duration, 0, len(rep.Tenants))
-				for _, tr := range rep.Tenants {
-					if tr.Err != nil {
-						fmt.Fprintf(os.Stderr, "federation: %s: tenant %s: %v\n", pol.Name(), tr.Name, tr.Err)
-						continue
-					}
-					ms = append(ms, tr.Makespan)
-				}
-				sort.Slice(ms, func(i, j int) bool { return ms[i] < ms[j] })
-				var wanMB float64
-				var wanWait time.Duration
-				for i := 0; i < fed.Size(); i++ {
-					wanMB += fed.Grid(i).RemoteInMB()
-					wanWait += fed.Grid(i).WANWait()
-				}
+			for _, pol := range []string{"ranked", "ranked-blind", "backlog"} {
+				g.Workload.Skew, spec.Broker.Policy = sk, pol
+				setWAN(spec.Links, w, wanLat)
+				rep, fed := run(spec)
+				label := fed.Policy().Name()
+				s := summarize(label, rep, fed)
 				fmt.Printf("%-5.2f %-8.1f %-16s %12v %12v %10.0f %10v\n",
-					sk, w, pol.Name(), rep.Makespan.Round(time.Second),
-					pct(ms, 95).Round(time.Second), wanMB, wanWait.Round(time.Second))
+					sk, w, label, rep.Makespan.Round(time.Second),
+					pct(s.ms, 95).Round(time.Second), s.wanMB, s.wanWait.Round(time.Second))
 			}
 		}
 	}

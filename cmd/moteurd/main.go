@@ -135,7 +135,7 @@ func loadSpec(path string, a adhoc) (*scenario.Spec, error) {
 		Tenants: []scenario.TenantGroup{{
 			Count:    a.tenants,
 			Prefix:   "t",
-			Policy:   "par",
+			Policy:   scenario.PolicyList{"par"},
 			Arrivals: &scenario.ArrivalSpec{Kind: "staggered", Spread: scenario.Duration(a.spread)},
 			Workload: scenario.WorkloadSpec{
 				Stages:  a.services,

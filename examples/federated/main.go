@@ -2,45 +2,46 @@
 // 3-grid federation with the locality-aware overhead-ranked broker
 // policy. Each tenant's input files are resident on a home grid and
 // cross-grid fetches pay a WAN link, so the broker has to weigh data
-// movement against middleware quality. This is the program mirrored in
-// the top-level README; the full sweep CLI is cmd/federation.
+// movement against middleware quality. The world is a scenario spec
+// compiled by internal/scenario, the same builder behind the scenarios/
+// library files. This is the program mirrored in the top-level README;
+// the full sweep CLI is cmd/federation.
 package main
 
 import (
 	"fmt"
 	"time"
 
-	"repro/internal/campaign"
-	"repro/internal/core"
-	"repro/internal/federation"
-	"repro/internal/grid"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
 func main() {
-	eng := sim.NewEngine()
-	fed, err := federation.New(eng, federation.Config{
-		Grids:    federation.HeterogeneousSpecs(3, 1), // 3 grids, skewed capacity + UI latency
-		Policy:   federation.Ranked(),                 // overhead-ranked + transfer-cost brokering
-		Rebroker: 1,                                   // one cross-grid retry after terminal failure
-		// nil Links would do the same: cross-grid fetches pay the default
-		// 2 MB/s, 5 s-latency WAN link.
-		Links: grid.DefaultWAN(),
-	})
+	spec := &scenario.Spec{
+		Name:  "quickstart",
+		Grids: scenario.HeterogeneousGrids(3, 1), // 3 grids, skewed capacity + UI latency
+		// Cross-grid fetches pay a 2 MB/s, 5 s-latency WAN link (a nil
+		// Links section would mean the same default).
+		Links:    &scenario.LinksSpec{WANMBps: 2, WANLatency: scenario.Duration(5 * time.Second)},
+		Broker:   &scenario.BrokerSpec{Policy: "ranked", Rebroker: 1}, // one cross-grid retry after terminal failure
+		Policies: map[string]scenario.OptionsSpec{"spdp": {ServiceParallelism: true, DataParallelism: true}},
+		Tenants: []scenario.TenantGroup{{
+			Count:    4,
+			Prefix:   "t",
+			Policy:   scenario.PolicyList{"spdp"},
+			Arrivals: &scenario.ArrivalSpec{Kind: "staggered", Spread: scenario.Duration(time.Minute)},
+			Workload: scenario.WorkloadSpec{
+				Stages: 3, Items: 10, Runtime: scenario.Duration(2 * time.Minute),
+				Sizes: scenario.SizeSpec{Kind: "constant", MeanMB: 5},
+				Skew:  1, Homes: []string{"grid00", "grid01", "grid02"}, // inputs resident on a rotating home grid
+			},
+		}},
+	}
+	w, err := scenario.Compile(sim.NewEngine(), spec)
 	if err != nil {
 		panic(err)
 	}
-	tenants := make([]campaign.TenantSpec, 4)
-	for i := range tenants {
-		home := grid.Site{Grid: fed.GridName(i % fed.Size())} // inputs resident here
-		tenants[i] = campaign.TenantSpec{
-			Name:    fmt.Sprintf("t%d", i),
-			Arrival: time.Duration(i) * time.Minute,
-			Opts:    core.Options{ServiceParallelism: true, DataParallelism: true},
-			Build:   campaign.SyntheticChainPlaced(3, 10, 2*time.Minute, 5, home, 1),
-		}
-	}
-	rep, err := campaign.RunSite(eng, campaign.OnFederation(fed), tenants, campaign.Admission{})
+	rep, err := w.Run()
 	if err != nil {
 		panic(err)
 	}
@@ -49,6 +50,7 @@ func main() {
 			tr.Name, tr.Makespan.Round(time.Second),
 			tr.Overheads.Jobs, tr.Overheads.P90.Round(time.Second))
 	}
+	fed := w.Fed
 	for i := 0; i < fed.Size(); i++ {
 		fmt.Printf("%s: %d jobs dispatched, submit EWMA %v, %.0f MB over the WAN\n",
 			fed.GridName(i), fed.Telemetry(i).Dispatched,

@@ -74,8 +74,8 @@ func wanFingerprint(rep *Report, f *federation.Federation) uint64 {
 // contended fabric end to end: the skewed 12-tenant campaign over
 // capacity-1 channels produces bit-identical per-tenant makespans,
 // per-grid telemetry and per-grid WAN-wait seconds on every run (the
-// test-speed face of BenchmarkFederationContention's cross-iteration
-// assertion).
+// test-speed face of the cross-iteration fingerprint check that
+// BenchmarkScenario/hetero-contention runs).
 func TestContendedCampaignDeterministic(t *testing.T) {
 	run := func() uint64 {
 		rep, f := runLocality(t, federation.RankedLocalityBlind(), slowWAN(), 1, 1)

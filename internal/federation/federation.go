@@ -388,31 +388,6 @@ func New(eng *sim.Engine, cfg Config) (*Federation, error) {
 	return f, nil
 }
 
-// HeterogeneousSpecs returns n member-grid specs derived from the default
-// production-grid model with deliberately skewed capacity and middleware
-// quality — the standard testbed of the federated benchmark, CLI and
-// examples. Grid i keeps the default cluster set truncated by 2i clusters
-// (never below two), pays (i+1)× the default UI submission latency, seeds
-// its random streams at seed+i, and generates background load for four
-// virtual days (enough to cover campaign spans while keeping the event
-// count bounded).
-func HeterogeneousSpecs(n int, seed uint64) []GridSpec {
-	specs := make([]GridSpec, n)
-	for i := 0; i < n; i++ {
-		cfg := grid.DefaultConfig()
-		keep := len(cfg.Clusters) - 2*i
-		if keep < 2 {
-			keep = 2
-		}
-		cfg.Clusters = cfg.Clusters[:keep:keep]
-		cfg.Overheads.SubmitMean *= time.Duration(i + 1)
-		cfg.Seed = seed + uint64(i)
-		cfg.BackgroundHorizon = 4 * 24 * time.Hour
-		specs[i] = GridSpec{Name: fmt.Sprintf("grid%02d", i), Config: cfg}
-	}
-	return specs
-}
-
 // Engine returns the shared simulation engine.
 func (f *Federation) Engine() *sim.Engine { return f.eng }
 

@@ -156,6 +156,42 @@ func (s *Spec) expandGrids(rootSeed uint64) []federation.GridSpec {
 	return out
 }
 
+// HeterogeneousGrids returns n member grids derived from the default
+// preset with deliberately skewed capacity and middleware quality — the
+// testbed of cmd/federation's flag mode, the hetero-* library scenarios
+// and examples/federated. Grid i, named grid%02d, keeps the first
+// max(10−2i, 2) default clusters (written out explicitly), pays (i+1)×
+// the default UI submission latency, seeds its random streams at seed+i,
+// and generates background load for four virtual days (enough to cover
+// campaign spans while keeping the event count bounded).
+func HeterogeneousGrids(n int, seed uint64) []GridSpec {
+	def := grid.DefaultConfig()
+	out := make([]GridSpec, n)
+	for i := range out {
+		keep := max(len(def.Clusters)-2*i, 2)
+		clusters := make([]ClusterSpec, keep)
+		for j, c := range def.Clusters[:keep] {
+			clusters[j] = ClusterSpec{
+				Name: c.Name, Nodes: c.Nodes,
+				MinSpeed: c.MinSpeed, MaxSpeed: c.MaxSpeed,
+				TransferMBps: c.TransferMBps, TransferStreams: c.TransferStreams,
+				BackgroundMeanIAT: Duration(c.BackgroundMeanIAT),
+				BackgroundMeanDur: Duration(c.BackgroundMeanDur),
+				BackgroundSDDur:   Duration(c.BackgroundSDDur),
+			}
+		}
+		out[i] = GridSpec{
+			Name:              fmt.Sprintf("grid%02d", i),
+			Preset:            "default",
+			Clusters:          clusters,
+			Seed:              seed + uint64(i),
+			SubmitMean:        Duration(def.Overheads.SubmitMean * time.Duration(i+1)),
+			BackgroundHorizon: Duration(4 * 24 * time.Hour),
+		}
+	}
+	return out
+}
+
 // baseConfig builds one member's grid.Config from its preset and
 // overrides (Seed is assigned by expandGrids).
 func (g GridSpec) baseConfig() grid.Config {
@@ -284,7 +320,10 @@ func (s *Spec) expandTenants(root *rng.Source) ([]campaign.TenantSpec, map[strin
 		} else {
 			times = make([]time.Duration, count)
 		}
-		opts := s.Policies[g.Policy].options()
+		mixes := make([]core.Options, len(g.Policy))
+		for j, name := range g.Policy {
+			mixes[j] = s.Policies[name].options()
+		}
 		for i := 0; i < count; i++ {
 			name := fmt.Sprintf("%s%02d", g.Prefix, i)
 			szr := root.Fork(streamSizes + uint64(tenantIdx))
@@ -300,7 +339,7 @@ func (s *Spec) expandTenants(root *rng.Source) ([]campaign.TenantSpec, map[strin
 			ts := campaign.TenantSpec{
 				Name:    name,
 				Arrival: times[i],
-				Opts:    opts,
+				Opts:    mixes[i%len(mixes)],
 				Build:   build,
 			}
 			if a := g.Adapt; a != nil {

@@ -26,7 +26,8 @@ type Overrides struct {
 	// Outages are appended to the spec's explicit outage windows.
 	Outages []OutageSpec
 	// Tenants replaces the tenant count — only meaningful when the spec
-	// has exactly one tenant group.
+	// has exactly one tenant group, and it must be positive (a spec's
+	// count of 0 means 1, so a zero override would silently run one).
 	Tenants *int
 	// Stages, Items, Runtime and Skew replace the corresponding workload
 	// field in every tenant group.
@@ -82,6 +83,9 @@ func (o Overrides) Apply(s *Spec) error {
 	}
 	s.Outages = append(s.Outages, o.Outages...)
 	if o.Tenants != nil {
+		if *o.Tenants < 1 {
+			return fmt.Errorf("scenario %s: -tenants override must be positive, got %d", s.Name, *o.Tenants)
+		}
 		if len(s.Tenants) != 1 {
 			return fmt.Errorf("scenario %s: -tenants override is ambiguous over %d tenant groups", s.Name, len(s.Tenants))
 		}

@@ -17,38 +17,41 @@ import (
 var ErrParse = errors.New("scenario: parse error")
 
 // ParseOutage reads a name@start+duration outage window ("+duration" is
-// optional: without it the grid never recovers). It is the parser behind
-// cmd/federation's -outage and -se-outage flags.
-func ParseOutage(s string) (federation.Outage, error) {
+// optional: without it the grid never recovers) into a compute outage
+// of a spec. It is the parser behind cmd/federation's -outage and
+// -se-outage flags.
+func ParseOutage(s string) (OutageSpec, error) {
 	name, window, ok := strings.Cut(s, "@")
 	if !ok || name == "" {
-		return federation.Outage{}, fmt.Errorf("%w: want name@start+duration, got %q", ErrParse, s)
+		return OutageSpec{}, fmt.Errorf("%w: want name@start+duration, got %q", ErrParse, s)
 	}
 	start, dur, recovers := strings.Cut(window, "+")
 	at, err := time.ParseDuration(start)
 	if err != nil {
-		return federation.Outage{}, fmt.Errorf("%w: bad start in %q: %w", ErrParse, s, err)
+		return OutageSpec{}, fmt.Errorf("%w: bad start in %q: %w", ErrParse, s, err)
 	}
 	if at < 0 {
-		return federation.Outage{}, fmt.Errorf("%w: negative start in %q", ErrParse, s)
+		return OutageSpec{}, fmt.Errorf("%w: negative start in %q", ErrParse, s)
 	}
-	o := federation.Outage{Grid: name, At: at}
+	o := OutageSpec{Grid: name, At: Duration(at)}
 	if recovers {
-		if o.For, err = time.ParseDuration(dur); err != nil {
-			return federation.Outage{}, fmt.Errorf("%w: bad duration in %q: %w", ErrParse, s, err)
+		d, err := time.ParseDuration(dur)
+		if err != nil {
+			return OutageSpec{}, fmt.Errorf("%w: bad duration in %q: %w", ErrParse, s, err)
 		}
-		if o.For <= 0 {
-			return federation.Outage{}, fmt.Errorf("%w: non-positive duration in %q", ErrParse, s)
+		if d <= 0 {
+			return OutageSpec{}, fmt.Errorf("%w: non-positive duration in %q", ErrParse, s)
 		}
+		o.For = Duration(d)
 	}
 	return o, nil
 }
 
 // ParsePairs reads a from>to=MBps:latency[,...] per-pair override list
-// into a LinkMatrix over the given fallback model. It is the parser
-// behind cmd/federation's -pairs flag.
-func ParsePairs(s string, fallback grid.LinkModel) (*grid.LinkMatrix, error) {
-	m := &grid.LinkMatrix{Pairs: make(map[grid.GridPair]grid.Link), Fallback: fallback}
+// into the pairs of a links section. It is the parser behind
+// cmd/federation's -pairs flag.
+func ParsePairs(s string) ([]PairSpec, error) {
+	var pairs []PairSpec
 	for _, entry := range strings.Split(s, ",") {
 		pair, link, ok := strings.Cut(strings.TrimSpace(entry), "=")
 		if !ok {
@@ -79,9 +82,9 @@ func ParsePairs(s string, fallback grid.LinkModel) (*grid.LinkMatrix, error) {
 		if latency < 0 {
 			return nil, fmt.Errorf("%w: negative latency in %q", ErrParse, entry)
 		}
-		m.Pairs[grid.GridPair{From: from, To: to}] = grid.Link{MBps: bw, Latency: latency}
+		pairs = append(pairs, PairSpec{From: from, To: to, MBps: bw, Latency: Duration(latency)})
 	}
-	return m, nil
+	return pairs, nil
 }
 
 // ParsePolicy resolves a broker policy name (ranked, ranked-blind,

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"repro/internal/grid"
 )
 
 // TestParseOutage covers the name@start+duration grammar shared by the
@@ -16,14 +14,14 @@ func TestParseOutage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Grid != "grid01" || o.At != 20*time.Minute || o.For != 30*time.Minute {
+	if o.Grid != "grid01" || o.At.D() != 20*time.Minute || o.For.D() != 30*time.Minute {
 		t.Fatalf("parsed %+v", o)
 	}
 	o, err = ParseOutage("g0@1h")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Grid != "g0" || o.At != time.Hour || o.For != 0 {
+	if o.Grid != "g0" || o.At.D() != time.Hour || o.For != 0 {
 		t.Fatalf("open-ended outage parsed as %+v", o)
 	}
 	for _, bad := range []string{
@@ -48,19 +46,15 @@ func TestParseOutage(t *testing.T) {
 // behind -pairs, including the silent-typo traps (non-positive bandwidth
 // would mean infinite bandwidth downstream).
 func TestParsePairs(t *testing.T) {
-	fallback := &grid.Links{WAN: grid.Link{MBps: 2, Latency: 5 * time.Second}}
-	m, err := ParsePairs("g0>g1=0.5:15s, g1>g0=1:2s", fallback)
+	pairs, err := ParsePairs("g0>g1=0.5:15s, g1>g0=1:2s")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Pairs) != 2 {
-		t.Fatalf("parsed %d pairs, want 2", len(m.Pairs))
+	if len(pairs) != 2 {
+		t.Fatalf("parsed %d pairs, want 2", len(pairs))
 	}
-	if l := m.Pairs[grid.GridPair{From: "g0", To: "g1"}]; l.MBps != 0.5 || l.Latency != 15*time.Second {
-		t.Fatalf("g0>g1 parsed as %+v", l)
-	}
-	if m.Fallback != fallback {
-		t.Fatalf("fallback not preserved: %+v", m.Fallback)
+	if p := pairs[0]; p.From != "g0" || p.To != "g1" || p.MBps != 0.5 || p.Latency.D() != 15*time.Second {
+		t.Fatalf("g0>g1 parsed as %+v", p)
 	}
 	for _, bad := range []string{
 		"",                 // no entry at all
@@ -76,7 +70,7 @@ func TestParsePairs(t *testing.T) {
 		"g0>g1=1:-2s",      // negative latency
 		"g0>g1=1:2s,extra", // valid entry then junk
 	} {
-		if _, err := ParsePairs(bad, fallback); !errors.Is(err, ErrParse) {
+		if _, err := ParsePairs(bad); !errors.Is(err, ErrParse) {
 			t.Errorf("ParsePairs(%q) = %v, want ErrParse", bad, err)
 		}
 	}

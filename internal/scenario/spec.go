@@ -301,11 +301,13 @@ type TenantGroup struct {
 	// counts are the "population" mode: hundreds of tenants with
 	// generated arrivals.
 	Count int `json:"count,omitempty"`
-	// Prefix names the tenants: member i of the campaign-wide expansion
-	// is Prefix + two-digit index ("t" → t00, t01, …).
+	// Prefix names the tenants: member i of the group is Prefix +
+	// two-digit index ("t" → t00, t01, …), counted within the group.
 	Prefix string `json:"prefix"`
-	// Policy references a named mix in Spec.Policies.
-	Policy string `json:"policy"`
+	// Policy references named mixes in Spec.Policies: one name, or a
+	// list rotated over the group — member i of the group uses
+	// Policy[i%len].
+	Policy PolicyList `json:"policy"`
 	// Weight is the tenant's fair-share weight at every member grid's UI
 	// gate (0 or 1 means the plain round-robin share).
 	Weight int `json:"weight,omitempty"`
@@ -315,6 +317,25 @@ type TenantGroup struct {
 	Workload WorkloadSpec `json:"workload"`
 	// Adapt opts the group into adaptive granularity retuning.
 	Adapt *AdaptSpec `json:"adapt,omitempty"`
+}
+
+// PolicyList names the option mixes of a tenant group. It unmarshals
+// from one JSON string or a JSON list of strings.
+type PolicyList []string
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (p *PolicyList) UnmarshalJSON(data []byte) error {
+	var one string
+	if err := json.Unmarshal(data, &one); err == nil {
+		*p = PolicyList{one}
+		return nil
+	}
+	var many []string
+	if err := json.Unmarshal(data, &many); err != nil {
+		return fmt.Errorf("policy must be a mix name or a list of names, got %s", data)
+	}
+	*p = many
+	return nil
 }
 
 // AdaptSpec configures adaptive granularity for a tenant group.
@@ -370,8 +391,8 @@ type WorkloadSpec struct {
 	// Skew is the fraction of each tenant's inputs placed on its home
 	// grid (the rest stays unplaced, i.e. local everywhere).
 	Skew float64 `json:"skew,omitempty"`
-	// Homes rotates tenant home grids: tenant i of the campaign-wide
-	// expansion homes at Homes[i%len]. Empty leaves every input unplaced.
+	// Homes rotates tenant home grids: member i of the group homes at
+	// Homes[i%len]. Empty leaves every input unplaced.
 	Homes []string `json:"homes,omitempty"`
 }
 
@@ -622,7 +643,7 @@ func (s *Spec) Validate() error {
 			return s.errAt("rebroker", "broker has a negative rebroker budget")
 		}
 		if b.EWMAAlpha < 0 || b.EWMAAlpha > 1 {
-			return s.errAt("ewmaAlpha", "broker EWMA alpha %v outside (0, 1]", b.EWMAAlpha)
+			return s.errAt("ewmaAlpha", "broker EWMA alpha %v outside [0, 1]", b.EWMAAlpha)
 		}
 	}
 	if a := s.Admission; a != nil && a.MaxUIBacklog <= 0 {
@@ -643,8 +664,13 @@ func (s *Spec) Validate() error {
 		if g.Count < 0 {
 			return s.errAt(g.Prefix, "tenant group %q has a negative count", g.Prefix)
 		}
-		if _, ok := s.Policies[g.Policy]; !ok {
-			return s.errAt(g.Policy, "tenant group %q references missing policy %q", g.Prefix, g.Policy)
+		if len(g.Policy) == 0 {
+			return s.errAt(g.Prefix, "tenant group %q names no policy", g.Prefix)
+		}
+		for _, name := range g.Policy {
+			if _, ok := s.Policies[name]; !ok {
+				return s.errAt(name, "tenant group %q references missing policy %q", g.Prefix, name)
+			}
 		}
 		if g.Weight < 0 {
 			return s.errAt(g.Prefix, "tenant group %q has a negative weight", g.Prefix)

@@ -2,8 +2,12 @@ package scenario
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/sim"
 )
 
 // baselineDoc is a minimal valid scenario; rejection cases below are
@@ -137,6 +141,10 @@ func TestSpecRejectsWorldErrors(t *testing.T) {
 	mustReject(t, edit(t, `"links": {"local": true},`,
 		`"links": {"local": true}, "admission": {"maxUIBacklog": 0, "retry": "1m"},`),
 		"admission", "admission.maxUIBacklog must be positive")
+	// Alpha 0 selects the default, so the bound is closed at both ends.
+	mustReject(t, edit(t, `"links": {"local": true},`,
+		`"links": {"local": true}, "broker": {"ewmaAlpha": 1.5},`),
+		"ewmaAlpha", "broker EWMA alpha 1.5 outside [0, 1]")
 }
 
 // TestSpecRejectsTenantErrors covers tenant group, arrival and workload
@@ -144,6 +152,12 @@ func TestSpecRejectsWorldErrors(t *testing.T) {
 func TestSpecRejectsTenantErrors(t *testing.T) {
 	mustReject(t, edit(t, `"policy": "p",`, `"policy": "nope",`),
 		"nope", `references missing policy "nope"`)
+	mustReject(t, edit(t, `"policy": "p",`, `"policy": ["p", "nope"],`),
+		"nope", `references missing policy "nope"`)
+	mustReject(t, edit(t, `"policy": "p",`, `"policy": [],`),
+		"t", `tenant group "t" names no policy`)
+	mustReject(t, edit(t, `"policy": "p",`, `"policy": 5,`),
+		"", "policy must be a mix name or a list of names")
 	mustReject(t, edit(t, `"prefix": "t", "count": 2, "policy": "p",`,
 		`"prefix": "t", "count": -2, "policy": "p",`),
 		"t", `tenant group "t" has a negative count`)
@@ -180,3 +194,120 @@ func TestSpecRejectsTenantErrors(t *testing.T) {
   }, {`)
 	mustReject(t, doc, "t", `duplicate tenant group prefix "t"`)
 }
+
+// TestPolicyListRotates pins the policy list semantics: member i of a
+// group runs Policy[i%len].
+func TestPolicyListRotates(t *testing.T) {
+	doc := edit(t, `"policies": {"p": {"serviceParallelism": true}},`,
+		`"policies": {"p": {"serviceParallelism": true}, "q": {"dataParallelism": true}},`)
+	doc = strings.Replace(doc, `"count": 2, "policy": "p",`, `"count": 3, "policy": ["p", "q"],`, 1)
+	s, err := Parse([]byte(doc), "test.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := Compile(sim.NewEngine(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []bool{true, false, true} {
+		if o := w.Tenants[i].Opts; o.ServiceParallelism != want || o.DataParallelism == want {
+			t.Errorf("tenant %d runs %+v, want mix %d", i, o, i%2)
+		}
+	}
+}
+
+// TestHeterogeneousGridsMatchLibrary ties the hetero-* library files to
+// the generator behind cmd/federation's flag mode: each file's grids
+// section is exactly HeterogeneousGrids(4, 1) written out.
+func TestHeterogeneousGridsMatchLibrary(t *testing.T) {
+	want := HeterogeneousGrids(4, 1)
+	for _, name := range []string{"hetero-scale", "hetero-locality", "hetero-contention"} {
+		s, err := Load("../../scenarios/" + name + ".json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(s.Grids, want) {
+			t.Errorf("%s grids differ from HeterogeneousGrids(4, 1):\n got %+v\nwant %+v", name, s.Grids, want)
+		}
+	}
+	if g := HeterogeneousGrids(7, 3)[6]; g.Name != "grid06" || len(g.Clusters) != 2 || g.Seed != 9 || g.SubmitMean.D() != 140*time.Second {
+		t.Fatalf("grid 6 of 7 = %+v, want two clusters, seed 9, 140s submit mean", g)
+	}
+}
+
+// TestOverridesApply covers the CLI override layer: each flag replaces
+// its spec field, outages append, and the overrides that would silently
+// not apply are rejected.
+func TestOverridesApply(t *testing.T) {
+	twoGroups := strings.Replace(baselineDoc, `  "tenants": [{`, `  "tenants": [{
+    "prefix": "u", "count": 1, "policy": "p",
+    "workload": {"stages": 1, "items": 1, "runtime": "5s",
+                 "sizes": {"kind": "constant", "meanMB": 5}}
+  }, {`, 1)
+	lognormal := strings.Replace(baselineDoc, `"sizes": {"kind": "constant", "meanMB": 5}`,
+		`"sizes": {"kind": "lognormal", "meanMB": 5, "sdMB": 1}`, 1)
+	poisson := strings.Replace(baselineDoc, `"kind": "staggered", "spread": "30s"`, `"kind": "poisson", "meanIAT": "1m"`, 1)
+	for _, tc := range []struct {
+		name    string
+		doc     string
+		ov      Overrides
+		ok      func(*Spec) bool
+		wantErr string
+	}{
+		{name: "seed", ov: Overrides{Seed: ptr(uint64(7))},
+			ok: func(s *Spec) bool { return s.Seed == 7 }},
+		{name: "policy", ov: Overrides{Policy: ptr("rr")},
+			ok: func(s *Spec) bool { return s.Broker.Policy == "rr" && s.Broker.Rebroker == 0 }},
+		{name: "rebroker", ov: Overrides{Rebroker: ptr(3)},
+			ok: func(s *Spec) bool { return s.Broker.Rebroker == 3 && s.Broker.Policy == "" }},
+		{name: "storage", ov: Overrides{SECapacityMB: ptr(100.0), SEEviction: ptr("popularity"), MinReplicas: ptr(2)},
+			ok: func(s *Spec) bool {
+				return *s.Storage == StorageSpec{CapacityMB: 100, Eviction: "popularity", MinReplicas: 2}
+			}},
+		{name: "outages-append", ov: Overrides{Outages: []OutageSpec{{Grid: "g0", At: Duration(10 * time.Minute), Storage: true}}},
+			ok: func(s *Spec) bool { return len(s.Outages) == 1 && s.Outages[0].Grid == "g0" && s.Outages[0].Storage }},
+		{name: "tenants", ov: Overrides{Tenants: ptr(5)},
+			ok: func(s *Spec) bool { return s.Tenants[0].Count == 5 }},
+		{name: "workload", ov: Overrides{Stages: ptr(3), Items: ptr(4), FileMB: ptr(7.0), Spread: ptr(time.Minute)},
+			ok: func(s *Spec) bool {
+				g := s.Tenants[0]
+				return g.Workload.Stages == 3 && g.Workload.Items == 4 && g.Workload.Sizes.MeanMB == 7 && g.Arrivals.Spread.D() == time.Minute
+			}},
+		{name: "tenants-ambiguous", doc: twoGroups, ov: Overrides{Tenants: ptr(3)},
+			wantErr: "-tenants override is ambiguous over 2 tenant groups"},
+		{name: "tenants-zero", ov: Overrides{Tenants: ptr(0)},
+			wantErr: "-tenants override must be positive"},
+		{name: "filemb-without-constant", doc: lognormal, ov: Overrides{FileMB: ptr(7.0)},
+			wantErr: "-file-mb override needs a constant-size tenant group"},
+		{name: "spread-without-staggered", doc: poisson, ov: Overrides{Spread: ptr(time.Minute)},
+			wantErr: "-spread override needs a staggered tenant group"},
+		{name: "revalidates", ov: Overrides{Outages: []OutageSpec{{Grid: "gX"}}},
+			wantErr: `outage references unknown grid "gX"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			doc := tc.doc
+			if doc == "" {
+				doc = baselineDoc
+			}
+			s, err := Parse([]byte(doc), "test.json")
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = tc.ov.Apply(s)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("Apply = %v, want error containing %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tc.ok(s) {
+				t.Fatalf("override not applied: %+v", s)
+			}
+		})
+	}
+}
+
+func ptr[T any](v T) *T { return &v }
