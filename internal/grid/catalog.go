@@ -137,7 +137,7 @@ func (c *Catalog) RegisterAt(name string, sizeMB float64, site Site) {
 	e.sizeMB = sizeMB
 	e.inline[0] = Replica{Site: site, SizeMB: sizeMB}
 	e.reps = e.inline[:1]
-	c.addResident(name, sizeMB, site)
+	c.addResident(name, e, site)
 	c.checkFloor(name, e)
 }
 
@@ -157,19 +157,15 @@ func (c *Catalog) AddReplica(name string, site Site) bool {
 	e.reps = append(e.reps, Replica{})
 	copy(e.reps[i+1:], e.reps[i:])
 	e.reps[i] = Replica{Site: site, SizeMB: e.sizeMB}
-	c.addResident(name, e.sizeMB, site)
+	c.addResident(name, e, site)
 	return true
 }
 
-// dropReplica removes the site's replica from the entry's sorted set,
+// dropSite removes the site's replica from the entry's sorted set,
 // reporting whether one was present. It is the bare set maintenance —
 // callers account storage residency and the replication floor themselves
 // (eviction has already done both when it gets here).
-func (c *Catalog) dropReplica(name string, site Site) bool {
-	e, ok := c.files[name]
-	if !ok {
-		return false
-	}
+func (e *catEntry) dropSite(site Site) bool {
 	key := site.key()
 	i := sort.Search(len(e.reps), func(i int) bool { return e.reps[i].Site.key() >= key })
 	if i >= len(e.reps) || e.reps[i].Site != site {
@@ -188,11 +184,12 @@ func (c *Catalog) dropReplica(name string, site Site) bool {
 // no fetchable copy, so stage plans report it unavailable (the replica-
 // lost path) rather than missing (the unregistered-name path).
 func (c *Catalog) RemoveReplica(name string, site Site) bool {
-	if !c.dropReplica(name, site) {
+	e, ok := c.files[name]
+	if !ok || !e.dropSite(site) {
 		return false
 	}
 	c.removeResident(name, site)
-	c.checkFloor(name, c.files[name])
+	c.checkFloor(name, e)
 	return true
 }
 

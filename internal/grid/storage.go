@@ -25,8 +25,11 @@ type SEFile struct {
 // EvictionPolicy orders a storage element's resident files for eviction
 // under capacity pressure. Implementations must be pure functions of the
 // two candidates — eviction runs inside the single-threaded engine and
-// golden tests pin its drain order — and must totally order distinct
-// candidates (use the file name as the final tie-break).
+// golden tests pin its drain order — and must be a strict total order on
+// distinct candidates (use the file name as the final tie-break): the
+// victim is the minimum under Before, found by one scan of the element's
+// residents in no particular order, so only a total order makes it
+// independent of that order.
 type EvictionPolicy interface {
 	// Name identifies the policy in reports and CLI tables.
 	Name() string
@@ -74,9 +77,15 @@ func (popularityPolicy) Before(a, b SEFile) bool {
 	return a.Name < b.Name
 }
 
-// seFile is the per-resident-copy access record of one storage element.
+// seFile is one resident copy on a storage element: the file's name and
+// catalog entry plus the access record eviction policies read. The entry
+// is arena-allocated, so the pointer stays valid for as long as the copy
+// is resident (a resident always leaves before its entry leaves the
+// catalog). The entry's sizeMB is the copy's size: a file is only resized
+// by RegisterAt, which drops every old resident first.
 type seFile struct {
-	sizeMB     float64
+	name       string
+	entry      *catEntry
 	lastAccess sim.Time
 	hits       uint64
 }
@@ -84,14 +93,37 @@ type seFile struct {
 // seState is one site's active storage element: a capacity gauge over the
 // resident replicas, an eviction policy draining it under pressure, and
 // an up/down flag making the site's replicas unreachable while dark.
+// Residents live in a dense slice (removal swaps the last one into the
+// hole) indexed by name through slot, so victim selection is a flat scan
+// and the by-name paths are one map lookup.
 type seState struct {
 	site      Site
 	gauge     *sim.Gauge
 	policy    EvictionPolicy
 	down      bool
-	files     map[string]*seFile
+	files     []seFile
+	slot      map[string]int
 	evictions uint64
 	evictedMB float64
+}
+
+// admit appends a resident copy with a fresh access record.
+func (se *seState) admit(name string, e *catEntry, now sim.Time) {
+	se.slot[name] = len(se.files)
+	se.files = append(se.files, seFile{name: name, entry: e, lastAccess: now})
+}
+
+// drop removes the resident at index i, moving the last resident into
+// its slot.
+func (se *seState) drop(i int) {
+	last := len(se.files) - 1
+	delete(se.slot, se.files[i].name)
+	if i != last {
+		se.files[i] = se.files[last]
+		se.slot[se.files[i].name] = i
+	}
+	se.files[last] = seFile{}
+	se.files = se.files[:last]
 }
 
 // SEStat summarizes one storage element's state and accounting.
@@ -134,23 +166,25 @@ func (c *Catalog) ConfigureSE(site Site, capacityMB float64, policy EvictionPoli
 	key := site.key()
 	se, ok := c.storage[key]
 	if !ok {
-		se = &seState{site: site, files: make(map[string]*seFile)}
+		se = &seState{site: site, slot: make(map[string]int)}
 		c.storage[key] = se
 		// Adopt replicas already pinned at the site, in lexical name order
-		// so the gauge's floating-point accumulation is deterministic.
+		// so the residency list's order is deterministic.
 		for _, name := range c.Names() {
 			e := c.files[name]
 			for _, r := range e.reps {
 				if r.Site == site {
-					se.files[name] = &seFile{sizeMB: e.sizeMB, lastAccess: c.clock()}
+					se.admit(name, e, c.clock())
 				}
 			}
 		}
 	}
 	se.policy = policy
+	// Rebuild the level in lexical name order so the gauge's floating-
+	// point accumulation is independent of residency history.
 	gauge := sim.NewGauge(capacityMB)
-	for _, name := range sortedKeys(se.files) {
-		gauge.Add(se.files[name].sizeMB)
+	for _, name := range sortedKeys(se.slot) {
+		gauge.Add(se.files[se.slot[name]].entry.sizeMB)
 	}
 	se.gauge = gauge
 }
@@ -334,7 +368,7 @@ func (c *Catalog) scanBelowFloor() {
 // addResident folds a newly-placed replica into its site's storage
 // element (no-op for sites without one), evicting under capacity pressure
 // first so the incoming file has room.
-func (c *Catalog) addResident(name string, sizeMB float64, site Site) {
+func (c *Catalog) addResident(name string, e *catEntry, site Site) {
 	if len(c.storage) == 0 || site.IsZero() {
 		return
 	}
@@ -342,12 +376,12 @@ func (c *Catalog) addResident(name string, sizeMB float64, site Site) {
 	if se == nil {
 		return
 	}
-	if _, ok := se.files[name]; ok {
+	if _, ok := se.slot[name]; ok {
 		return
 	}
-	c.ensureRoom(se, name, sizeMB)
-	se.files[name] = &seFile{sizeMB: sizeMB, lastAccess: c.clock()}
-	se.gauge.Add(sizeMB)
+	c.ensureRoom(se, e.sizeMB)
+	se.admit(name, e, c.clock())
+	se.gauge.Add(e.sizeMB)
 }
 
 // removeResident drops a replica from its site's storage element
@@ -360,70 +394,69 @@ func (c *Catalog) removeResident(name string, site Site) {
 	if se == nil {
 		return
 	}
-	f, ok := se.files[name]
+	i, ok := se.slot[name]
 	if !ok {
 		return
 	}
-	delete(se.files, name)
-	se.gauge.Remove(f.sizeMB)
+	se.gauge.Remove(se.files[i].entry.sizeMB)
+	se.drop(i)
 }
 
-// ensureRoom evicts resident replicas until the incoming file fits,
-// draining in the element's policy order. The incoming file itself and
-// any file at or below the replication floor are never victims; when
-// nothing is evictable the element overflows (capacity is soft — the real
-// SE would reject the write, but failing a stage-out over an accounting
-// limit would deadlock repair, so overflow plus the gauge's peak record
-// is the honest model).
-func (c *Catalog) ensureRoom(se *seState, incoming string, sizeMB float64) {
+// ensureRoom evicts resident replicas until an incoming file of the given
+// size fits, draining in the element's policy order. The incoming file is
+// not resident yet, so it is never its own victim, and no file at or
+// below the replication floor is a victim either; when nothing is
+// evictable the element overflows (capacity is soft — the real SE would
+// reject the write, but failing a stage-out over an accounting limit
+// would deadlock repair, so overflow plus the gauge's peak record is the
+// honest model).
+func (c *Catalog) ensureRoom(se *seState, sizeMB float64) {
 	if se.gauge.Unlimited() {
 		return
 	}
 	for se.gauge.Over(sizeMB) {
-		victim := c.pickVictim(se, incoming)
-		if victim == "" {
+		i := c.pickVictim(se)
+		if i < 0 {
 			return
 		}
-		c.evictReplica(se, victim)
+		c.evictReplica(se, i)
 	}
 }
 
-// pickVictim returns the policy-first evictable resident (empty when
-// nothing is evictable). Candidates are scanned in lexical name order and
-// compared under the element's policy, so the choice is deterministic
-// regardless of map iteration order.
-func (c *Catalog) pickVictim(se *seState, incoming string) string {
+// pickVictim returns the index in se.files of the policy-first evictable
+// resident, or -1 when nothing is evictable. It is one allocation-free
+// scan of the residency list: the policy is a strict total order, so the
+// minimum is unique and the scan order cannot change it (and the list's
+// order is itself a deterministic function of history).
+func (c *Catalog) pickVictim(se *seState) int {
 	floor := c.floorOr1()
-	var best string
+	best := -1
 	var bestFile SEFile
-	for _, name := range sortedKeys(se.files) {
-		if name == incoming {
+	for i := range se.files {
+		f := &se.files[i]
+		if len(f.entry.reps) <= floor {
 			continue
 		}
-		e := c.files[name]
-		if e == nil || len(e.reps) <= floor {
-			continue
-		}
-		f := se.files[name]
-		cand := SEFile{Name: name, SizeMB: f.sizeMB, LastAccess: f.lastAccess, Hits: f.hits}
-		if best == "" || se.policy.Before(cand, bestFile) {
-			best, bestFile = name, cand
+		cand := SEFile{Name: f.name, SizeMB: f.entry.sizeMB, LastAccess: f.lastAccess, Hits: f.hits}
+		if best < 0 || se.policy.Before(cand, bestFile) {
+			best, bestFile = i, cand
 		}
 	}
 	return best
 }
 
-// evictReplica drains one resident replica from the element: the replica
-// set loses the copy, the gauge frees its bytes, and the eviction
-// counters grow. The floor guard in pickVictim guarantees the file keeps
-// enough copies, so eviction never fires the repair hook.
-func (c *Catalog) evictReplica(se *seState, name string) {
-	f := se.files[name]
+// evictReplica drains the resident at index i from the element: the
+// replica set loses the copy, the gauge frees its bytes, and the eviction
+// counters grow. The floor guard in pickVictim leaves the file's replica
+// set at or above the floor — copies on dark storage count — so eviction
+// never fires the repair hook.
+func (c *Catalog) evictReplica(se *seState, i int) {
+	f := se.files[i]
 	se.evictions++
-	se.evictedMB += f.sizeMB
-	delete(se.files, name)
-	se.gauge.Remove(f.sizeMB)
-	c.dropReplica(name, se.site)
+	se.evictedMB += f.entry.sizeMB
+	se.gauge.Remove(f.entry.sizeMB)
+	se.drop(i)
+	f.entry.dropSite(se.site)
 }
 
 // touch records an actual stage-in access of the replica on its site's
@@ -436,7 +469,8 @@ func (c *Catalog) touch(name string, rep Replica) {
 	if se == nil {
 		return
 	}
-	if f, ok := se.files[name]; ok {
+	if i, ok := se.slot[name]; ok {
+		f := &se.files[i]
 		f.lastAccess = c.clock()
 		f.hits++
 	}

@@ -298,3 +298,27 @@ func TestUnplacedReplicaNeverDark(t *testing.T) {
 		t.Errorf("unplaced replica planned %+v under total darkness, want plain local", p)
 	}
 }
+
+// TestEvictsEmptyName pins that a file named "" is an ordinary eviction
+// candidate: victim selection must not use the empty name as its
+// "nothing picked yet" marker, or an empty-named resident is never
+// drained and the element silently overflows.
+func TestEvictsEmptyName(t *testing.T) {
+	var now sim.Time
+	c := newStorageCatalog(&now)
+	c.RegisterAt("", 10, sA)
+	c.AddReplica("", sB)
+	c.ConfigureSE(sA, 10, EvictLRU())
+
+	now += sim.Time(time.Second)
+	c.RegisterAt("x", 10, sA)
+	c.AddReplica("x", sB)
+
+	st := c.SEStats()[0]
+	if st.Evictions != 1 || st.UsedMB != 10 {
+		t.Fatalf("element holds %v MB after %d evictions, want 10 MB after 1", st.UsedMB, st.Evictions)
+	}
+	if hasReplicaAt(c, "", sA) || !hasReplicaAt(c, "", sB) {
+		t.Errorf("replicas of the empty-named file = %+v, want only the sB copy", c.Replicas(""))
+	}
+}

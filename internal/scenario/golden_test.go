@@ -1,8 +1,11 @@
 package scenario
 
 import (
+	"maps"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -70,20 +73,54 @@ func runLibrarySpec(t *testing.T, path string) uint64 {
 	return Fingerprint(rep, w.Fed)
 }
 
+// libraryGolden pins every library spec's run fingerprint across
+// commits. A change that moves one — a different eviction victim, a
+// reordered event — must be intentional: regenerate the table with
+// `go run ./cmd/goldengen` and call the change out in the commit.
+var libraryGolden = map[string]uint64{
+	"clean-baseline":    0x797e7080838dff20,
+	"contended-wan":     0xa14066c30a7abc18,
+	"flaky-grids":       0x2651e6b5e100cee3,
+	"hetero-contention": 0x28ee6c1b8d26267a,
+	"hetero-locality":   0x2f6c6afbfd3ab2cb,
+	"hetero-scale":      0x140c3cf530419264,
+	"locality-skew":     0xa198972064cd4f18,
+	"metropolis":        0x11d3a29a2f81769e,
+	"population-burst":  0x73d61f43d3bab4d9,
+	"se-churn":          0xdca9732973289d06,
+}
+
 // TestScenarioLibraryDeterminism is the per-scenario golden gate: every
 // spec of the shipped library is compiled and run twice from a fresh
-// Load each time, and the two runs must produce bit-identical
-// fingerprints (per-tenant makespans, per-grid telemetry, WAN and
-// storage churn). A spec file can never go nondeterministic silently.
+// Load each time. The first run must match the spec's checked-in
+// fingerprint in libraryGolden (per-tenant makespans, per-grid
+// telemetry, WAN and storage churn), and the second must match the
+// first. A spec file can never go nondeterministic, change behaviour
+// across commits, or join the library unpinned silently.
 func TestScenarioLibraryDeterminism(t *testing.T) {
-	for _, path := range libraryPaths(t) {
-		path := path
+	paths := libraryPaths(t)
+	inLibrary := make(map[string]bool, len(paths))
+	for _, path := range paths {
+		name := strings.TrimSuffix(filepath.Base(path), ".json")
+		inLibrary[name] = true
 		t.Run(filepath.Base(path), func(t *testing.T) {
+			want, ok := libraryGolden[name]
+			if !ok {
+				t.Fatalf("no golden fingerprint for %s: add it to libraryGolden (go run ./cmd/goldengen)", name)
+			}
 			first := runLibrarySpec(t, path)
+			if first != want {
+				t.Errorf("fingerprint %#x, golden %#x", first, want)
+			}
 			if again := runLibrarySpec(t, path); again != first {
 				t.Fatalf("scenario not deterministic: %#x vs %#x", first, again)
 			}
 		})
+	}
+	for _, name := range slices.Sorted(maps.Keys(libraryGolden)) {
+		if !inLibrary[name] {
+			t.Errorf("libraryGolden pins %s, which is not in the library", name)
+		}
 	}
 }
 
