@@ -16,6 +16,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/diagram"
+	"repro/internal/federation"
 	"repro/internal/grid"
 	"repro/internal/metrics"
 	"repro/internal/model"
@@ -350,8 +351,8 @@ func BenchmarkEnactorScale(b *testing.B) {
 
 // BenchmarkCampaignScale measures the multi-tenant campaign layer at
 // scale: 32 tenants, each enacting a 16-service wrapper chain over nD=100
-// items, all contending for one shared DefaultConfig grid through the
-// fair-share gate, with a heterogeneous optimization mix (SP+DP, SP+DP+JG,
+// items, all contending for one shared DefaultConfig grid (a one-grid
+// federation with local links) through the fair-share gate, with a heterogeneous optimization mix (SP+DP, SP+DP+JG,
 // DP, batched SP+DP) and staggered arrival waves. Per-tenant makespans are
 // captured on the first iteration and asserted identical on every
 // subsequent one, so the benchmark doubles as a campaign determinism
@@ -366,23 +367,27 @@ func BenchmarkCampaignScale(b *testing.B) {
 		{ServiceParallelism: true, DataParallelism: true,
 			DataGroupSize: 8, DataGroupWindow: 2 * time.Minute},
 	}
-	build := func() campaign.Config {
-		cfg := campaign.Config{Grid: grid.DefaultConfig()}
-		for i := 0; i < nTenants; i++ {
-			cfg.Tenants = append(cfg.Tenants, campaign.TenantSpec{
-				Name:    fmt.Sprintf("t%02d", i),
-				Arrival: time.Duration(i) * time.Minute,
-				Opts:    mixes[i%len(mixes)],
-				Build:   campaign.SyntheticChain(nServices, nD, 2*time.Minute, 5),
-			})
+	tenants := make([]campaign.TenantSpec, nTenants)
+	for i := range tenants {
+		tenants[i] = campaign.TenantSpec{
+			Name:    fmt.Sprintf("t%02d", i),
+			Arrival: time.Duration(i) * time.Minute,
+			Opts:    mixes[i%len(mixes)],
+			Build:   campaign.SyntheticChain(nServices, nD, 2*time.Minute, 5),
 		}
-		return cfg
 	}
 	var first []time.Duration
 	var span time.Duration
 	var jobs int
 	for i := 0; i < b.N; i++ {
-		rep, err := campaign.Run(build())
+		f, err := federation.New(sim.NewEngine(), federation.Config{
+			Grids: []federation.GridSpec{{Config: grid.DefaultConfig()}},
+			Links: grid.LocalLinks(),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rep, err := campaign.RunSite(f, tenants, campaign.Admission{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -3,7 +3,10 @@
 // fairness. Each tenant enacts a synthetic linear pipeline; the
 // optimization mix cycles across tenants so heterogeneous contention
 // scenarios (SP-only vs DP+JG vs batched vs adaptive) come out of one
-// command line.
+// command line. The flags synthesize one scenario.Spec — a single
+// default-preset grid with local links (a one-grid federation) and one
+// staggered tenant group rotating four option mixes — which the scenario
+// compiler builds, exactly as cmd/federation does for its sweeps.
 //
 // With -scenario the whole world comes from a declarative spec file
 // (internal/scenario) instead: the campaign runs on the scenario's
@@ -26,23 +29,21 @@ import (
 	"time"
 
 	"repro/internal/campaign"
-	"repro/internal/core"
-	"repro/internal/grid"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
-// mixes is the optimization rotation across tenants.
-var mixes = []struct {
-	name string
-	opts core.Options
-}{
-	{"SP+DP", core.Options{ServiceParallelism: true, DataParallelism: true}},
-	{"SP+DP+JG", core.Options{ServiceParallelism: true, DataParallelism: true, JobGrouping: true}},
-	{"DP", core.Options{DataParallelism: true}},
-	{"SP+DP+batch4", core.Options{ServiceParallelism: true, DataParallelism: true,
-		DataGroupSize: 4, DataGroupWindow: time.Minute}},
-}
+// mixes is the optimization rotation across tenants: tenant i of the
+// flag-mode group runs mixOrder[i%4].
+var (
+	mixes = map[string]scenario.OptionsSpec{
+		"spdp":       {ServiceParallelism: true, DataParallelism: true},
+		"spdp-jg":    {ServiceParallelism: true, DataParallelism: true, JobGrouping: true},
+		"dp":         {DataParallelism: true},
+		"spdp-batch": {ServiceParallelism: true, DataParallelism: true, DataGroupSize: 4, DataGroupWindow: scenario.Duration(time.Minute)},
+	}
+	mixOrder = scenario.PolicyList{"spdp", "spdp-jg", "dp", "spdp-batch"}
+)
 
 func main() {
 	var (
@@ -66,8 +67,7 @@ func main() {
 		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 		for _, name := range []string{"fifo", "adapt", "horizon"} {
 			if set[name] {
-				fmt.Fprintf(os.Stderr, "campaign: -%s cannot override a scenario; edit the spec instead\n", name)
-				os.Exit(2)
+				exit(2, "-%s cannot override a scenario; edit the spec instead", name)
 			}
 		}
 		ov := scenario.Overrides{}
@@ -96,39 +96,80 @@ func main() {
 		return
 	}
 
-	gc := grid.DefaultConfig()
-	gc.Seed = *seed
-	gc.StrictFIFOSubmit = *fifo
-	gc.BackgroundHorizon = *horizon
-
-	cfg := campaign.Config{Grid: gc}
-	for i := 0; i < *tenants; i++ {
-		mix := mixes[i%len(mixes)]
-		ts := campaign.TenantSpec{
-			Name:    fmt.Sprintf("t%02d-%s", i, mix.name),
-			Arrival: time.Duration(i) * *spread,
-			Opts:    mix.opts,
-			Build:   campaign.SyntheticChain(*servs, *items, *runtime, *fileMB),
-		}
-		if *adapt > 0 {
-			ts.Adapt = &campaign.AdaptiveGranularity{Interval: *adapt, MaxBatch: *items}
-		}
-		cfg.Tenants = append(cfg.Tenants, ts)
+	// Flag mode: synthesize the world as a spec. The spec would silently
+	// read a zero seed as 1, a zero horizon as the preset's, and a zero
+	// tenant count as one tenant.
+	if *tenants < 1 {
+		exit(2, "-tenants must be positive, got %d", *tenants)
+	}
+	if *seed == 0 {
+		exit(2, "-seed must be positive")
+	}
+	if *horizon <= 0 {
+		exit(2, "-horizon must be positive, got %v", *horizon)
+	}
+	group := scenario.TenantGroup{
+		Count:    *tenants,
+		Prefix:   "t",
+		Policy:   mixOrder,
+		Arrivals: &scenario.ArrivalSpec{Kind: "staggered", Spread: scenario.Duration(*spread)},
+		Workload: scenario.WorkloadSpec{
+			Stages:  *servs,
+			Items:   *items,
+			Runtime: scenario.Duration(*runtime),
+			Sizes:   scenario.SizeSpec{Kind: "constant", MeanMB: *fileMB},
+		},
+	}
+	if *adapt > 0 {
+		group.Adapt = &scenario.AdaptSpec{Interval: scenario.Duration(*adapt), MaxBatch: *items}
+	}
+	spec := &scenario.Spec{
+		Name: "flags",
+		Seed: *seed,
+		Grids: []scenario.GridSpec{{
+			Name:              "grid",
+			Preset:            "default",
+			Seed:              *seed,
+			StrictFIFO:        *fifo,
+			BackgroundHorizon: scenario.Duration(*horizon),
+		}},
+		Links:    &scenario.LinksSpec{Local: true},
+		Policies: mixes,
+		Tenants:  []scenario.TenantGroup{group},
+	}
+	if err := spec.Validate(); err != nil {
+		exit(2, "%v", err)
 	}
 
 	gate := "fair-share"
 	if *fifo {
 		gate = "strict FIFO"
 	}
-	fmt.Printf("campaign: %d tenants × %d-stage chains × %d items on the default grid (%s gate, seed %d)\n\n",
+	header := fmt.Sprintf("campaign: %d tenants × %d-stage chains × %d items on the default grid (%s gate, seed %d)",
 		*tenants, *servs, *items, gate, *seed)
+	printReport(run(spec, header), *showAdpt)
+}
 
-	rep, err := campaign.Run(cfg)
+// exit prints a prefixed error and exits with the code: 2 for bad input,
+// 1 for a world or run that failed.
+func exit(code int, format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "campaign: "+format+"\n", args...)
+	os.Exit(code)
+}
+
+// run compiles the spec on a fresh engine, prints the header line and
+// enacts the world.
+func run(spec *scenario.Spec, header string) *campaign.Report {
+	w, err := scenario.Compile(sim.NewEngine(), spec)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "campaign:", err)
-		os.Exit(1)
+		exit(1, "%v", err)
 	}
-	printReport(rep, *showAdpt)
+	fmt.Printf("%s\n\n", header)
+	rep, err := w.Run()
+	if err != nil {
+		exit(1, "%v", err)
+	}
+	return rep
 }
 
 // runScenario compiles and runs one spec file with CLI overrides applied,
@@ -136,27 +177,14 @@ func main() {
 func runScenario(path string, ov scenario.Overrides, showAdpt bool) {
 	spec, err := scenario.Load(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "campaign:", err)
-		os.Exit(2)
+		exit(2, "%v", err)
 	}
 	if err := ov.Apply(spec); err != nil {
-		fmt.Fprintln(os.Stderr, "campaign:", err)
-		os.Exit(2)
+		exit(2, "%v", err)
 	}
-	eng := sim.NewEngine()
-	w, err := scenario.Compile(eng, spec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "campaign:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("campaign: scenario %s — %d tenants over %d grids (seed %d)\n\n",
+	header := fmt.Sprintf("campaign: scenario %s — %d tenants over %d grids (seed %d)",
 		spec.Name, spec.TenantCount(), len(spec.GridNames()), spec.Seed)
-	rep, err := w.Run()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "campaign:", err)
-		os.Exit(1)
-	}
-	printReport(rep, showAdpt)
+	printReport(run(spec, header), showAdpt)
 }
 
 // printReport prints the per-tenant makespan/overhead table and the

@@ -47,10 +47,19 @@ func main() {
 	fmt.Printf("global  %s\n", rep.Global)
 }
 
+// run enacts the tenants on a fresh shared grid: a one-grid federation
+// whose links treat every replica as local.
 func run(tenants []moteur.CampaignTenant, strictFIFO bool) *moteur.CampaignReport {
 	gc := moteur.DefaultGridConfig()
 	gc.StrictFIFOSubmit = strictFIFO
-	rep, err := moteur.RunCampaign(moteur.Campaign{Grid: gc, Tenants: tenants})
+	f, err := moteur.NewFederation(moteur.NewEngine(), moteur.FederationConfig{
+		Grids: []moteur.FederationGridSpec{{Config: gc}},
+		Links: moteur.AllLocalLinks(),
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	rep, err := moteur.RunCampaignSite(f, tenants, moteur.CampaignAdmission{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -3,16 +3,17 @@
 // shared infrastructure — the regime the paper's findings live in, where
 // "the increasing load of the middleware services on a production
 // infrastructure cannot be neglected" because many users submit at once.
-// The infrastructure is a Site: one shared grid.Grid (OnGrid) or a
-// multi-grid federation.Federation whose broker policy spreads each
-// tenant's jobs across member grids (OnFederation). RunSite enacts a
-// campaign on any site; StartSite is its incremental form.
+// The infrastructure is always a federation.Federation whose broker
+// policy spreads each tenant's jobs across its member grids; the paper's
+// single shared grid is a one-grid federation with grid.LocalLinks, which
+// reproduces a bare grid.Grid bit for bit (TestOneGridCampaignGolden).
+// RunSite enacts a campaign; StartSite is its incremental form.
 //
 // Each tenant gets its own core.Enactor (independent Options, its own
-// workflow and input set) and a grid.Tenant submission handle; all
+// workflow and input set) and a federation.Tenant submission handle; all
 // enactors are driven by the one sim.Engine, so a campaign is exactly as
 // deterministic as a solo run: same configuration and seed, same
-// per-tenant makespans. The grid's fair-share gate drains tenants
+// per-tenant makespans. Each grid's fair-share gate drains tenants
 // round-robin at the serialized UI, so one burst-submitting tenant delays
 // the others by a bounded factor instead of starving them behind its whole
 // burst (set grid.Config.StrictFIFOSubmit to compare against the
@@ -33,7 +34,6 @@ package campaign
 import (
 	"errors"
 	"fmt"
-	"reflect"
 	"time"
 
 	"repro/internal/core"
@@ -45,14 +45,13 @@ import (
 	"repro/internal/workflow"
 )
 
-// Handle is one tenant's view of the infrastructure a campaign enacts on:
+// Handle is what a tenant's workflow builder sees of the infrastructure:
 // a submission target (services.Submitter, so wrapper-backed services
-// created on the handle submit as the tenant) plus the tenant's own
-// record partition and statistics, which is all the campaign layer ever
-// reads — the adaptive-granularity loop in particular observes only this
-// partition, never global infrastructure stats, so one tenant's burst
-// cannot distort another's retuning. Both *grid.Tenant (shared single
-// grid) and *federation.Tenant (brokered multi-grid) satisfy it.
+// created on the handle submit as the tenant), the tenant's name, and the
+// engine for tenant-local services. The campaign passes each builder the
+// tenant's *federation.Tenant; it is an interface so a caller can wrap
+// the handle (to time submissions, say) without touching the campaign's
+// own accounting, which always reads the federation tenant.
 type Handle interface {
 	services.Submitter
 	// Name returns the tenant's name.
@@ -60,64 +59,7 @@ type Handle interface {
 	// Engine returns the simulation engine, for builders that create
 	// tenant-local services.
 	Engine() *sim.Engine
-	// Records returns the tenant's job records, in submission order.
-	Records() []*grid.JobRecord
-	// Overheads computes overhead statistics over the tenant's jobs only.
-	Overheads() grid.OverheadStats
-	// Phases computes per-phase latency means over the tenant's completed
-	// jobs only.
-	Phases() grid.PhaseStats
 }
-
-// Site is the infrastructure a campaign enacts on: a provider of tenant
-// handles plus the campaign-global aggregates the report carries. Wrap a
-// single shared grid with OnGrid or a federation with OnFederation.
-type Site interface {
-	// Tenant returns the (memoized) handle for the named tenant.
-	Tenant(name string) Handle
-	// TotalNodes returns the site's worker-node capacity, the default
-	// concurrency estimate for adaptive granularity.
-	TotalNodes() int
-	// UIBacklog returns the submissions accepted but not yet cleared by
-	// the site's serialized UIs (summed across a federation's member
-	// grids) — the congestion signal admission control gates arrivals on.
-	UIBacklog() int
-	// Overheads aggregates overhead statistics over every tenant's jobs.
-	Overheads() grid.OverheadStats
-	// Phases aggregates per-phase latency means over every tenant's
-	// completed jobs.
-	Phases() grid.PhaseStats
-}
-
-// OnGrid adapts one shared grid into a campaign Site.
-func OnGrid(g *grid.Grid) Site { return gridSite{g} }
-
-type gridSite struct{ g *grid.Grid }
-
-func (s gridSite) Tenant(name string) Handle     { return s.g.Tenant(name) }
-func (s gridSite) TotalNodes() int               { return s.g.TotalNodes() }
-func (s gridSite) UIBacklog() int                { return s.g.PendingSubmits() }
-func (s gridSite) Overheads() grid.OverheadStats { return s.g.Overheads() }
-func (s gridSite) Phases() grid.PhaseStats       { return s.g.Phases() }
-
-// OnFederation adapts a multi-grid federation into a campaign Site: each
-// tenant's jobs are brokered across the member grids by the federation's
-// policy.
-func OnFederation(f *federation.Federation) Site { return fedSite{f} }
-
-type fedSite struct{ f *federation.Federation }
-
-func (s fedSite) Tenant(name string) Handle { return s.f.Tenant(name) }
-func (s fedSite) TotalNodes() int           { return s.f.TotalNodes() }
-func (s fedSite) UIBacklog() int {
-	n := 0
-	for i := 0; i < s.f.Size(); i++ {
-		n += s.f.Grid(i).PendingSubmits()
-	}
-	return n
-}
-func (s fedSite) Overheads() grid.OverheadStats { return s.f.Overheads() }
-func (s fedSite) Phases() grid.PhaseStats       { return s.f.Phases() }
 
 // BuildFunc constructs one tenant's workflow and input set against the
 // tenant's submission handle: wrapper-backed services created on the
@@ -138,7 +80,8 @@ type AdaptiveGranularity struct {
 	// (total nodes / number of tenants).
 	Slots int
 	// MinBatch/MaxBatch clamp the chosen batch size. Zero means
-	// unclamped.
+	// unclamped. StartSite rejects negative Slots or bounds, and a
+	// MinBatch above a non-zero MaxBatch.
 	MinBatch, MaxBatch int
 }
 
@@ -158,23 +101,12 @@ type TenantSpec struct {
 	Adapt *AdaptiveGranularity
 }
 
-// Config assembles a campaign.
-type Config struct {
-	// Grid is the shared infrastructure model. Zero value:
-	// grid.DefaultConfig.
-	Grid    grid.Config
-	Tenants []TenantSpec
-	// Admission gates tenant arrivals on the grid's UI backlog. The zero
-	// value disables admission control.
-	Admission Admission
-}
-
 // Admission is the arrival-gating policy of a campaign: a tenant arriving
-// while the site's UI backlog (Site.UIBacklog) exceeds MaxUIBacklog is
-// held back and re-checked every Retry until the backlog drains —
-// protecting the tenants already running from yet another burst landing
-// on a saturated serialized UI. The zero value disables admission
-// control.
+// while the federation's UI backlog (Federation.PendingSubmits) exceeds
+// MaxUIBacklog is held back and re-checked every Retry until the backlog
+// drains — protecting the tenants already running from yet another burst
+// landing on a saturated serialized UI. The zero value disables
+// admission control.
 type Admission struct {
 	// MaxUIBacklog is the UI-backlog threshold above which arrivals are
 	// held back (zero disables gating).
@@ -231,33 +163,16 @@ type Report struct {
 	Tenants []TenantResult
 	// Makespan is the campaign span: the latest tenant finish instant.
 	Makespan time.Duration
-	// Global aggregates every job of every tenant, as Grid.Overheads sees
-	// them.
+	// Global aggregates every job of every tenant, as
+	// Federation.Overheads sees them.
 	Global       grid.OverheadStats
 	GlobalPhases grid.PhaseStats
-}
-
-// Run builds a fresh engine and grid from cfg and enacts all tenants on
-// them through RunSite. Tenant-level failures (a failing service, a
-// stalled workflow) are reported per tenant, not as a Run error; Run
-// errors are configuration problems.
-func Run(cfg Config) (*Report, error) {
-	if reflect.DeepEqual(cfg.Grid, grid.Config{}) {
-		cfg.Grid = grid.DefaultConfig()
-	} else if len(cfg.Grid.Clusters) == 0 {
-		// A partially-filled config with no clusters is almost certainly a
-		// mistake; silently substituting DefaultConfig would discard the
-		// caller's seed and gate policy.
-		return nil, fmt.Errorf("campaign: grid config has no clusters (leave Grid entirely zero for the default grid)")
-	}
-	eng := sim.NewEngine()
-	return RunSite(eng, OnGrid(grid.New(eng, cfg.Grid)), cfg.Tenants, cfg.Admission)
 }
 
 // tenantRun is the mutable state of one tenant during a campaign.
 type tenantRun struct {
 	spec        *TenantSpec
-	tenant      Handle
+	tenant      *federation.Tenant
 	en          *core.Enactor
 	inputs      map[string][]string
 	res         *core.Result
@@ -268,25 +183,27 @@ type tenantRun struct {
 	adaptations []Adaptation
 }
 
-// RunSite enacts the tenants on an existing engine and site — a shared
-// grid (OnGrid) or a federation (OnFederation) — stepping the engine
-// until every tenant reaches a terminal state (or the event queue drains,
-// which marks the unfinished tenants as stalled).
+// RunSite enacts the tenants on a federation — a shared grid is a
+// one-grid federation — stepping the federation's engine until every
+// tenant reaches a terminal state (or the event queue drains, which marks
+// the unfinished tenants as stalled). Tenant-level failures (a failing
+// service, a stalled workflow) are reported per tenant; RunSite errors
+// are configuration problems.
 //
 // adm gates arrivals (the zero Admission disables gating): a tenant whose
-// arrival instant finds the site's UI backlog above adm.MaxUIBacklog is
+// arrival instant finds the UI backlog above adm.MaxUIBacklog is
 // held back and re-checked every adm.Retry, starting only once the
 // backlog has drained below the threshold (or rejected with
 // ErrAdmissionRejected after adm.MaxDelay of waiting). The tenant's
 // Makespan still counts from its specified Arrival, so admission delay
 // shows up honestly in the delayed tenant's own numbers while the
 // protected tenants' overheads improve.
-func RunSite(eng *sim.Engine, site Site, specs []TenantSpec, adm Admission) (*Report, error) {
-	x, err := StartSite(eng, site, specs, adm)
+func RunSite(f *federation.Federation, specs []TenantSpec, adm Admission) (*Report, error) {
+	x, err := StartSite(f, specs, adm)
 	if err != nil {
 		return nil, err
 	}
-	for !x.Done() && eng.Step() {
+	for !x.Done() && x.eng.Step() {
 	}
 	return x.Report(), nil
 }
@@ -299,7 +216,7 @@ func RunSite(eng *sim.Engine, site Site, specs []TenantSpec, adm Admission) (*Re
 // online broker daemon) interleave with external event injection.
 type Execution struct {
 	eng          *sim.Engine
-	site         Site
+	fed          *federation.Federation
 	start        sim.Time
 	runners      []*tenantRun
 	remaining    int
@@ -373,8 +290,8 @@ func (x *Execution) Report() *Report {
 		}
 		rep.Tenants[i] = tr
 	}
-	rep.Global = x.site.Overheads()
-	rep.GlobalPhases = x.site.Phases()
+	rep.Global = x.fed.Overheads()
+	rep.GlobalPhases = x.fed.Phases()
 	return rep
 }
 
@@ -385,7 +302,7 @@ func (x *Execution) Report() *Report {
 // by stepping until Done and a Report; incremental drivers interleave
 // their own events — external submissions, outage commands — between
 // steps instead.
-func StartSite(eng *sim.Engine, site Site, specs []TenantSpec, adm Admission) (*Execution, error) {
+func StartSite(f *federation.Federation, specs []TenantSpec, adm Admission) (*Execution, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("campaign: no tenants")
 	}
@@ -405,21 +322,30 @@ func StartSite(eng *sim.Engine, site Site, specs []TenantSpec, adm Admission) (*
 		if ts.Arrival < 0 {
 			return nil, fmt.Errorf("campaign: tenant %q has a negative arrival", ts.Name)
 		}
-		if ts.Adapt != nil && ts.Adapt.Interval <= 0 {
-			return nil, fmt.Errorf("campaign: tenant %q has adaptive granularity without a positive interval", ts.Name)
+		if ad := ts.Adapt; ad != nil {
+			if ad.Interval <= 0 {
+				return nil, fmt.Errorf("campaign: tenant %q has adaptive granularity without a positive interval", ts.Name)
+			}
+			if ad.Slots < 0 || ad.MinBatch < 0 || ad.MaxBatch < 0 {
+				return nil, fmt.Errorf("campaign: tenant %q has negative adaptive slots or batch bounds", ts.Name)
+			}
+			if ad.MaxBatch > 0 && ad.MinBatch > ad.MaxBatch {
+				return nil, fmt.Errorf("campaign: tenant %q has adaptive MinBatch %d above MaxBatch %d", ts.Name, ad.MinBatch, ad.MaxBatch)
+			}
 		}
 	}
 
+	eng := f.Engine()
 	x := &Execution{
 		eng:       eng,
-		site:      site,
+		fed:       f,
 		start:     eng.Now(),
 		runners:   make([]*tenantRun, len(specs)),
 		remaining: len(specs),
 	}
 	for i := range specs {
 		ts := &specs[i]
-		th := site.Tenant(ts.Name)
+		th := f.Tenant(ts.Name)
 		wf, inputs, err := ts.Build(th)
 		if err != nil {
 			return nil, fmt.Errorf("campaign: tenant %s: %w", ts.Name, err)
@@ -440,7 +366,7 @@ func StartSite(eng *sim.Engine, site Site, specs []TenantSpec, adm Admission) (*
 		arrival := x.start + sim.Time(ts.Arrival)
 		var begin func()
 		begin = func() {
-			if adm.MaxUIBacklog > 0 && site.UIBacklog() > adm.MaxUIBacklog {
+			if adm.MaxUIBacklog > 0 && f.PendingSubmits() > adm.MaxUIBacklog {
 				waited := time.Duration(eng.Now() - arrival)
 				if adm.MaxDelay > 0 && waited >= adm.MaxDelay {
 					r.err = fmt.Errorf("campaign: tenant %s: %w after %v", r.spec.Name, ErrAdmissionRejected, waited)
@@ -465,7 +391,7 @@ func StartSite(eng *sim.Engine, site Site, specs []TenantSpec, adm Admission) (*
 				x.remaining--
 			}
 			if r.spec.Adapt != nil && !r.finished {
-				scheduleAdapt(eng, site, r, len(specs), x.start, &x.pendingTicks)
+				x.scheduleAdapt(r)
 			}
 		}
 		eng.Schedule(sim.Time(ts.Arrival), begin)
@@ -479,24 +405,24 @@ func StartSite(eng *sim.Engine, site Site, specs []TenantSpec, adm Admission) (*
 // are pending, so a stalled tenant's loop cannot keep the engine alive
 // forever (RunSite would otherwise never see the queue drain and never
 // report the stall).
-func scheduleAdapt(eng *sim.Engine, site Site, r *tenantRun, nTenants int, campaignStart sim.Time, pendingTicks *int) {
+func (x *Execution) scheduleAdapt(r *tenantRun) {
 	var tick func()
 	arm := func() {
-		*pendingTicks++
-		eng.Schedule(sim.Time(r.spec.Adapt.Interval), tick)
+		x.pendingTicks++
+		x.eng.Schedule(sim.Time(r.spec.Adapt.Interval), tick)
 	}
 	tick = func() {
-		*pendingTicks--
+		x.pendingTicks--
 		if r.finished {
 			return
 		}
-		if a, ok := retune(eng, site, r, nTenants, campaignStart); ok {
+		if a, ok := x.retune(r); ok {
 			r.adaptations = append(r.adaptations, a)
 		}
 		// Pending() excludes this already-fired tick; if nothing beyond
 		// the campaign's other adapt ticks remains, no event can ever
 		// complete this tenant — stop re-arming and let the engine drain.
-		if eng.Pending() > *pendingTicks {
+		if x.eng.Pending() > x.pendingTicks {
 			arm()
 		}
 	}
@@ -509,7 +435,7 @@ func scheduleAdapt(eng *sim.Engine, site Site, r *tenantRun, nTenants int, campa
 // statically-expected invocations, fed into the Sec. 5.4 batching model.
 // It reports false when there is nothing to observe or nothing left to
 // retune.
-func retune(eng *sim.Engine, site Site, r *tenantRun, nTenants int, campaignStart sim.Time) (Adaptation, bool) {
+func (x *Execution) retune(r *tenantRun) (Adaptation, bool) {
 	ad := r.spec.Adapt
 	jobs, overhead, submit, compute := observe(r.tenant)
 	if jobs == 0 {
@@ -525,7 +451,7 @@ func retune(eng *sim.Engine, site Site, r *tenantRun, nTenants int, campaignStar
 	}
 	slots := ad.Slots
 	if slots <= 0 {
-		slots = site.TotalNodes() / nTenants
+		slots = x.fed.TotalNodes() / len(x.runners)
 		if slots < 1 {
 			slots = 1
 		}
@@ -552,7 +478,7 @@ func retune(eng *sim.Engine, site Site, r *tenantRun, nTenants int, campaignStar
 	}
 	r.en.SetDataGroupSize(k)
 	return Adaptation{
-		At:        time.Duration(eng.Now() - campaignStart),
+		At:        time.Duration(x.eng.Now() - x.start),
 		Batch:     k,
 		Predicted: pred,
 		Overhead:  overhead,
@@ -563,14 +489,11 @@ func retune(eng *sim.Engine, site Site, r *tenantRun, nTenants int, campaignStar
 // jobs, returning their count and mean grid overhead, UI submit phase and
 // on-node span (compute plus output staging) — the three observations the
 // granularity model feeds on, without the three separate sweeps of
-// Overheads/Phases. Reading through the handle (not global infrastructure
-// stats) matters twice over: on a shared grid it keeps a bursty
-// co-tenant's inflated overheads out of this tenant's retuning, and on a
-// federation a single grid's record list would miss the jobs the broker
-// sent to other grids. Handle.Records materializes the partition (one
-// transient O(tenant jobs) slice per retune tick); in exchange the scan
-// itself no longer walks every other tenant's records.
-func observe(t Handle) (jobs int, overhead, submit, compute time.Duration) {
+// Overheads/Phases. Reading the tenant's partition (not global
+// infrastructure stats) matters twice over: it keeps a bursty co-tenant's
+// inflated overheads out of this tenant's retuning, and it spans every
+// member grid the broker sent the tenant's jobs to.
+func observe(t *federation.Tenant) (jobs int, overhead, submit, compute time.Duration) {
 	for _, rec := range t.Records() {
 		if rec.Status != grid.StatusCompleted {
 			continue

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/federation"
 	"repro/internal/grid"
 	"repro/internal/services"
 	"repro/internal/sim"
@@ -28,6 +29,32 @@ func testGrid(nodes int) grid.Config {
 	return cfg
 }
 
+// oneGrid builds a shared grid the way a campaign sees one: a one-grid
+// federation over cfg with local links, on a fresh engine.
+func oneGrid(t testing.TB, cfg grid.Config) *federation.Federation {
+	t.Helper()
+	f, err := federation.New(sim.NewEngine(), federation.Config{
+		Grids: []federation.GridSpec{{Config: cfg}},
+		Links: grid.LocalLinks(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// runOneGrid enacts the tenants on a fresh one-grid federation over cfg
+// and returns the report with the federation, for record assertions.
+func runOneGrid(t testing.TB, cfg grid.Config, specs []TenantSpec, adm Admission) (*Report, *federation.Federation) {
+	t.Helper()
+	f := oneGrid(t, cfg)
+	rep, err := RunSite(f, specs, adm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep, f
+}
+
 func spdp() core.Options {
 	return core.Options{DataParallelism: true, ServiceParallelism: true}
 }
@@ -37,13 +64,7 @@ func TestCampaignSingleTenantMatchesSoloRun(t *testing.T) {
 	// an identical grid: same makespan, same output count.
 	build := SyntheticChain(3, 5, 10*time.Second, 1)
 
-	rep, err := Run(Config{
-		Grid:    testGrid(16),
-		Tenants: []TenantSpec{{Name: "solo", Opts: spdp(), Build: build}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, _ := runOneGrid(t, testGrid(16), []TenantSpec{{Name: "solo", Opts: spdp(), Build: build}}, Admission{})
 	tr := rep.Tenants[0]
 	if tr.Err != nil {
 		t.Fatal(tr.Err)
@@ -73,8 +94,9 @@ func TestCampaignSingleTenantMatchesSoloRun(t *testing.T) {
 
 func TestCampaignDeterminism(t *testing.T) {
 	run := func() []time.Duration {
-		cfg := Config{Grid: testGrid(32)}
-		cfg.Grid.Seed = 42
+		gc := testGrid(32)
+		gc.Seed = 42
+		var tenants []TenantSpec
 		mixes := []core.Options{
 			{},
 			spdp(),
@@ -82,17 +104,14 @@ func TestCampaignDeterminism(t *testing.T) {
 			{DataParallelism: true, ServiceParallelism: true, DataGroupSize: 3, DataGroupWindow: time.Minute},
 		}
 		for i, opts := range mixes {
-			cfg.Tenants = append(cfg.Tenants, TenantSpec{
+			tenants = append(tenants, TenantSpec{
 				Name:    []string{"t0", "t1", "t2", "t3"}[i],
 				Arrival: time.Duration(i) * 30 * time.Second,
 				Opts:    opts,
 				Build:   SyntheticChain(3, 6, 20*time.Second, 2),
 			})
 		}
-		rep, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rep, _ := runOneGrid(t, gc, tenants, Admission{})
 		out := make([]time.Duration, len(rep.Tenants))
 		for i, tr := range rep.Tenants {
 			if tr.Err != nil {
@@ -126,18 +145,15 @@ func TestCampaignFairShare(t *testing.T) {
 		Build: SyntheticChain(1, 150, 30*time.Second, 1),
 	}
 	run := func(withBurst, strictFIFO bool) time.Duration {
-		cfg := Config{Grid: testGrid(64)}
-		cfg.Grid.StrictFIFOSubmit = strictFIFO
-		cfg.Tenants = []TenantSpec{steady}
+		gc := testGrid(64)
+		gc.StrictFIFOSubmit = strictFIFO
+		tenants := []TenantSpec{steady}
 		if withBurst {
 			// The burst arrives first so its whole queue is already in
 			// front of the UI when the steady tenant shows up.
-			cfg.Tenants = []TenantSpec{burst, steady}
+			tenants = []TenantSpec{burst, steady}
 		}
-		rep, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rep, _ := runOneGrid(t, gc, tenants, Admission{})
 		for _, tr := range rep.Tenants {
 			if tr.Err != nil {
 				t.Fatalf("tenant %s: %v", tr.Name, tr.Err)
@@ -172,21 +188,15 @@ func TestCampaignFairShare(t *testing.T) {
 
 // TestCampaignTenantStatsIsolation checks the acceptance accounting
 // properties: per-tenant overhead stats are disjoint and sum-consistent
-// with the global Grid.Overheads.
+// with the global statistics.
 func TestCampaignTenantStatsIsolation(t *testing.T) {
-	cfg := Config{Grid: testGrid(32)}
-	cfg.Grid.Failures = grid.FailureConfig{Probability: 0.3, DetectDelay: 30 * time.Second, MaxRetries: 8}
-	cfg.Grid.Seed = 7
-	cfg.Tenants = []TenantSpec{
+	gc := testGrid(32)
+	gc.Failures = grid.FailureConfig{Probability: 0.3, DetectDelay: 30 * time.Second, MaxRetries: 8}
+	gc.Seed = 7
+	rep, f := runOneGrid(t, gc, []TenantSpec{
 		{Name: "alpha", Opts: spdp(), Build: SyntheticChain(2, 10, 20*time.Second, 1)},
 		{Name: "beta", Opts: core.Options{DataParallelism: true}, Build: SyntheticChain(3, 6, 15*time.Second, 1)},
-	}
-	eng := sim.NewEngine()
-	g := grid.New(eng, cfg.Grid)
-	rep, err := RunSite(eng, OnGrid(g), cfg.Tenants, Admission{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, Admission{})
 	for _, tr := range rep.Tenants {
 		if tr.Err != nil {
 			t.Fatalf("tenant %s: %v", tr.Name, tr.Err)
@@ -195,13 +205,13 @@ func TestCampaignTenantStatsIsolation(t *testing.T) {
 
 	// Disjoint: every record belongs to exactly one tenant, and the
 	// tenants' record sets cover the global one.
-	a, b := g.Tenant("alpha"), g.Tenant("beta")
+	a, b := f.Tenant("alpha"), f.Tenant("beta")
 	na, nb := len(a.Records()), len(b.Records())
 	if na == 0 || nb == 0 {
 		t.Fatal("a tenant submitted no jobs")
 	}
-	if na+nb != len(g.Records()) {
-		t.Fatalf("tenant records %d+%d do not partition the %d global records", na, nb, len(g.Records()))
+	if na+nb != len(f.Records()) {
+		t.Fatalf("tenant records %d+%d do not partition the %d global records", na, nb, len(f.Records()))
 	}
 	for _, r := range a.Records() {
 		if r.Tenant != "alpha" {
@@ -230,23 +240,16 @@ func TestCampaignTenantStatsIsolation(t *testing.T) {
 }
 
 func TestCampaignArrivalWaves(t *testing.T) {
-	cfg := Config{Grid: testGrid(16)}
 	arrival := 10 * time.Minute
-	cfg.Tenants = []TenantSpec{
+	rep, f := runOneGrid(t, testGrid(16), []TenantSpec{
 		{Name: "early", Opts: spdp(), Build: SyntheticChain(2, 3, 10*time.Second, 1)},
 		{Name: "late", Arrival: arrival, Opts: spdp(), Build: SyntheticChain(2, 3, 10*time.Second, 1)},
-	}
-	eng := sim.NewEngine()
-	g := grid.New(eng, cfg.Grid)
-	rep, err := RunSite(eng, OnGrid(g), cfg.Tenants, Admission{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, Admission{})
 	late := rep.Tenants[1]
 	if late.Err != nil {
 		t.Fatal(late.Err)
 	}
-	for _, r := range g.Tenant("late").Records() {
+	for _, r := range f.Tenant("late").Records() {
 		if r.Submitted < sim.Time(arrival) {
 			t.Fatalf("late tenant submitted at %v, before its arrival %v", r.Submitted, arrival)
 		}
@@ -267,8 +270,7 @@ func TestCampaignAdaptiveGranularity(t *testing.T) {
 	gc := testGrid(64)
 	gc.Overheads.SubmitMean = 60 * time.Second
 	gc.Overheads.DispatchMean = 5 * time.Minute
-	cfg := Config{Grid: gc}
-	cfg.Tenants = []TenantSpec{{
+	rep, f := runOneGrid(t, gc, []TenantSpec{{
 		Name: "adaptive",
 		Opts: core.Options{
 			DataParallelism:    true,
@@ -277,11 +279,7 @@ func TestCampaignAdaptiveGranularity(t *testing.T) {
 		},
 		Build: SyntheticChain(2, 40, 5*time.Second, 1),
 		Adapt: &AdaptiveGranularity{Interval: 4 * time.Minute, MaxBatch: 16},
-	}}
-	rep, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	}}, Admission{})
 	tr := rep.Tenants[0]
 	if tr.Err != nil {
 		t.Fatal(tr.Err)
@@ -305,28 +303,15 @@ func TestCampaignAdaptiveGranularity(t *testing.T) {
 		t.Fatalf("sink items = %d, want 40", got)
 	}
 	// Batching must show up as fewer grid jobs than the unbatched 2×40.
-	if jobs := len(g(t, cfg).Records()); jobs >= 80 {
+	if jobs := len(f.Records()); jobs >= 80 {
 		t.Fatalf("adaptive batching submitted %d jobs, want fewer than the 80 unbatched ones", jobs)
 	}
-}
-
-// g re-runs the campaign on a fresh engine+grid and returns the grid, for
-// assertions on submission counts.
-func g(t *testing.T, cfg Config) *grid.Grid {
-	t.Helper()
-	eng := sim.NewEngine()
-	gr := grid.New(eng, cfg.Grid)
-	if _, err := RunSite(eng, OnGrid(gr), cfg.Tenants, Admission{}); err != nil {
-		t.Fatal(err)
-	}
-	return gr
 }
 
 func TestCampaignTenantFailureIsIsolated(t *testing.T) {
 	// One tenant references a file that is not in the catalog: its run
 	// fails, the other tenant is unaffected.
-	cfg := Config{Grid: testGrid(16)}
-	cfg.Tenants = []TenantSpec{
+	rep, _ := runOneGrid(t, testGrid(16), []TenantSpec{
 		{Name: "ok", Opts: spdp(), Build: SyntheticChain(2, 3, 10*time.Second, 1)},
 		{Name: "doomed", Opts: spdp(), Build: func(th Handle) (*workflow.Workflow, map[string][]string, error) {
 			wf, _, err := SyntheticChain(1, 1, 10*time.Second, 1)(th)
@@ -336,11 +321,7 @@ func TestCampaignTenantFailureIsIsolated(t *testing.T) {
 			// Point the source at a GFN that was never registered.
 			return wf, map[string][]string{"src": {"gfn://doomed/missing"}}, nil
 		}},
-	}
-	rep, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, Admission{})
 	if rep.Tenants[0].Err != nil {
 		t.Fatalf("healthy tenant failed: %v", rep.Tenants[0].Err)
 	}
@@ -364,9 +345,13 @@ func TestCampaignConfigValidation(t *testing.T) {
 		{"nil build", []TenantSpec{{Name: "x"}}},
 		{"negative arrival", []TenantSpec{{Name: "x", Build: ok, Arrival: -time.Second}}},
 		{"bad adapt", []TenantSpec{{Name: "x", Build: ok, Adapt: &AdaptiveGranularity{}}}},
+		{"negative slots", []TenantSpec{{Name: "x", Build: ok, Adapt: &AdaptiveGranularity{Interval: time.Minute, Slots: -1}}}},
+		{"negative min batch", []TenantSpec{{Name: "x", Build: ok, Adapt: &AdaptiveGranularity{Interval: time.Minute, MinBatch: -1}}}},
+		{"negative max batch", []TenantSpec{{Name: "x", Build: ok, Adapt: &AdaptiveGranularity{Interval: time.Minute, MaxBatch: -1}}}},
+		{"min above max batch", []TenantSpec{{Name: "x", Build: ok, Adapt: &AdaptiveGranularity{Interval: time.Minute, MinBatch: 8, MaxBatch: 4}}}},
 	}
 	for _, c := range cases {
-		if _, err := Run(Config{Grid: testGrid(4), Tenants: c.tenants}); err == nil {
+		if _, err := StartSite(oneGrid(t, testGrid(4)), c.tenants, Admission{}); err == nil {
 			t.Errorf("%s: no error", c.name)
 		}
 	}
@@ -375,10 +360,9 @@ func TestCampaignConfigValidation(t *testing.T) {
 // TestRunOnAdvancedEngine: RunSite must work on an engine whose clock has
 // already moved — arrivals are relative to the campaign start.
 func TestRunOnAdvancedEngine(t *testing.T) {
-	eng := sim.NewEngine()
-	g := grid.New(eng, testGrid(16))
-	eng.RunUntil(sim.Time(time.Hour))
-	rep, err := RunSite(eng, OnGrid(g), []TenantSpec{
+	f := oneGrid(t, testGrid(16))
+	f.Engine().RunUntil(sim.Time(time.Hour))
+	rep, err := RunSite(f, []TenantSpec{
 		{Name: "later", Opts: spdp(), Build: SyntheticChain(2, 3, 10*time.Second, 1)},
 	}, Admission{})
 	if err != nil {
@@ -427,8 +411,7 @@ func TestSetDataGroupSizeBeforeStart(t *testing.T) {
 // TestCampaignFailedTenantStopsSubmitting: after a tenant's run fails,
 // it must not keep feeding jobs into the shared grid.
 func TestCampaignFailedTenantStopsSubmitting(t *testing.T) {
-	cfg := Config{Grid: testGrid(32)}
-	cfg.Tenants = []TenantSpec{
+	rep, f := runOneGrid(t, testGrid(32), []TenantSpec{
 		{Name: "doomed", Opts: spdp(), Build: func(th Handle) (*workflow.Workflow, map[string][]string, error) {
 			wf, _, err := SyntheticChain(4, 20, 10*time.Second, 1)(th)
 			if err != nil {
@@ -442,31 +425,15 @@ func TestCampaignFailedTenantStopsSubmitting(t *testing.T) {
 			inputs[0] = "gfn://doomed/missing"
 			return wf, map[string][]string{"src": inputs}, nil
 		}},
-	}
-	eng := sim.NewEngine()
-	g := grid.New(eng, cfg.Grid)
-	rep, err := RunSite(eng, OnGrid(g), cfg.Tenants, Admission{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, Admission{})
 	if rep.Tenants[0].Err == nil {
 		t.Fatal("doomed tenant reported no error")
 	}
-	eng.Run() // drain the shared engine past the failure
+	f.Engine().Run() // drain the shared engine past the failure
 	// Stage 1 legitimately submits up to 20 jobs before the poisoned one
 	// fails; the other three stages (60 more jobs) must not follow.
-	if jobs := len(g.Records()); jobs > 25 {
+	if jobs := len(f.Records()); jobs > 25 {
 		t.Fatalf("failed tenant kept submitting: %d jobs on the shared grid", jobs)
-	}
-}
-
-func TestRunRejectsClusterlessNonZeroGrid(t *testing.T) {
-	cfg := Config{
-		Grid:    grid.Config{Seed: 42, StrictFIFOSubmit: true}, // no clusters, not zero
-		Tenants: []TenantSpec{{Name: "x", Build: SyntheticChain(1, 1, time.Second, 1)}},
-	}
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("cluster-less non-zero grid config accepted")
 	}
 }
 
@@ -474,8 +441,7 @@ func TestRunRejectsClusterlessNonZeroGrid(t *testing.T) {
 // flush timer of a failed tenant must not submit its held batch to the
 // shared grid.
 func TestCampaignBatchedFailureStopsSubmitting(t *testing.T) {
-	cfg := Config{Grid: testGrid(16)}
-	cfg.Tenants = []TenantSpec{{
+	rep, f := runOneGrid(t, testGrid(16), []TenantSpec{{
 		Name: "batched",
 		Opts: core.Options{
 			DataParallelism:    true,
@@ -493,19 +459,13 @@ func TestCampaignBatchedFailureStopsSubmitting(t *testing.T) {
 			inputs["src"][0] = "gfn://batched/missing"
 			return wf, inputs, nil
 		},
-	}}
-	eng := sim.NewEngine()
-	g := grid.New(eng, cfg.Grid)
-	rep, err := RunSite(eng, OnGrid(g), cfg.Tenants, Admission{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}}, Admission{})
 	if rep.Tenants[0].Err == nil {
 		t.Fatal("poisoned batch did not fail the tenant")
 	}
-	before := len(g.Records())
-	eng.Run() // fire the pending window flush on the shared engine
-	if after := len(g.Records()); after != before {
+	before := len(f.Records())
+	f.Engine().Run() // fire the pending window flush on the shared engine
+	if after := len(f.Records()); after != before {
 		t.Fatalf("failed tenant's window flush submitted %d more jobs", after-before)
 	}
 }
@@ -543,18 +503,12 @@ func TestCampaignStalledAdaptiveTenantTerminates(t *testing.T) {
 		w.Constrain("starved", "gated") // starved never drains: expects 2, gets 1
 		return w, map[string][]string{"src": {"a", "b"}}, nil
 	}
-	rep, err := Run(Config{
-		Grid: testGrid(8),
-		Tenants: []TenantSpec{{
-			Name:  "stuck",
-			Opts:  spdp(),
-			Build: stalling,
-			Adapt: &AdaptiveGranularity{Interval: time.Minute},
-		}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, _ := runOneGrid(t, testGrid(8), []TenantSpec{{
+		Name:  "stuck",
+		Opts:  spdp(),
+		Build: stalling,
+		Adapt: &AdaptiveGranularity{Interval: time.Minute},
+	}}, Admission{})
 	if !errors.Is(rep.Tenants[0].Err, core.ErrStalled) {
 		t.Fatalf("tenant err = %v, want ErrStalled", rep.Tenants[0].Err)
 	}

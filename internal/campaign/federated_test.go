@@ -51,7 +51,7 @@ func runFederated(t *testing.T, policy federation.Policy) (*Report, *federation.
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := RunSite(eng, OnFederation(f), fedTenants(16), Admission{})
+	rep, err := RunSite(f, fedTenants(16), Admission{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestFederatedCampaignGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := RunSite(eng, OnFederation(f), fedTenants(6), Admission{})
+		rep, err := RunSite(f, fedTenants(6), Admission{})
 		if err != nil {
 			t.Fatal(err)
 		}

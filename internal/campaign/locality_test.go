@@ -61,7 +61,7 @@ func runLocality(t *testing.T, policy federation.Policy, links grid.LinkModel, s
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := RunSite(eng, OnFederation(f), localityTenants(12, skew), Admission{})
+	rep, err := RunSite(f, localityTenants(12, skew), Admission{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestUniformReplicasNoRegression(t *testing.T) {
 				Build:   SyntheticChain(1, 8, 20*time.Second, 20),
 			}
 		}
-		rep, err := RunSite(eng, OnFederation(f), specs, Admission{})
+		rep, err := RunSite(f, specs, Admission{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +215,7 @@ func TestFederatedLocalityGolden(t *testing.T) {
 				Build:   SyntheticChainPlaced(3, 8, 20*time.Second, 10, home, 1),
 			}
 		}
-		rep, err := RunSite(eng, OnFederation(f), specs, Admission{})
+		rep, err := RunSite(f, specs, Admission{})
 		if err != nil {
 			t.Fatal(err)
 		}

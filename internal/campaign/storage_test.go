@@ -30,7 +30,7 @@ func TestCampaignSurvivesSEOutage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := RunSite(eng, OnFederation(f), localityTenants(12, 1), Admission{})
+		rep, err := RunSite(f, localityTenants(12, 1), Admission{})
 		if err != nil {
 			t.Fatal(err)
 		}

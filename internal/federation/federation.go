@@ -12,8 +12,8 @@
 // different grids still resolves its data dependencies. Both *Federation
 // and its per-tenant handles (*Tenant) satisfy services.Submitter:
 // wrapper-backed, grouped and batched services dispatch across grids
-// transparently, and campaigns back whole multi-tenant runs with a
-// federation (campaign.OnFederation).
+// transparently, and every multi-tenant campaign runs on a federation
+// (campaign.RunSite) — a shared single grid is a one-grid federation.
 //
 // A pluggable broker Policy picks the target grid per submitted job:
 // round-robin, least-backlog (instantaneous occupancy), or overhead-ranked
@@ -474,6 +474,17 @@ func (f *Federation) TotalNodes() int {
 	n := 0
 	for _, g := range f.grids {
 		n += g.TotalNodes()
+	}
+	return n
+}
+
+// PendingSubmits returns the UI backlog summed across member grids:
+// submissions accepted but not yet cleared by a serialized UI — the
+// congestion signal campaign admission control gates arrivals on.
+func (f *Federation) PendingSubmits() int {
+	n := 0
+	for _, g := range f.grids {
+		n += g.PendingSubmits()
 	}
 	return n
 }

@@ -25,29 +25,20 @@ type OverheadStats struct {
 // in-flight records are still mutating and their attempts are not yet
 // attributable.
 func (g *Grid) Overheads() OverheadStats {
-	return overheadStats(g.records, nil)
+	return OverheadsOf(g.records)
 }
 
 // OverheadsOf computes overhead statistics over an arbitrary record slice.
 // It is the aggregation hook for callers that assemble record sets across
 // grids — a federation's global and per-tenant views — with exactly the
-// semantics of Grid.Overheads.
-func OverheadsOf(records []*JobRecord) OverheadStats {
-	return overheadStats(records, nil)
-}
-
-// overheadStats computes the statistics over the records accepted by keep
-// (nil keeps everything). Percentiles use the upper nearest-rank
+// semantics of Grid.Overheads. Percentiles use the upper nearest-rank
 // convention: P50 is durs[n/2] and P90 is durs[n*9/10] of the sorted
 // overheads, so on tiny samples they degenerate towards Max (n=1: both
 // equal the single observation; n=2: both equal the larger one).
-func overheadStats(records []*JobRecord, keep func(*JobRecord) bool) OverheadStats {
+func OverheadsOf(records []*JobRecord) OverheadStats {
 	var durs []time.Duration
 	st := OverheadStats{}
 	for _, r := range records {
-		if keep != nil && !keep(r) {
-			continue
-		}
 		switch r.Status {
 		case StatusCompleted:
 			st.Resubmits += r.Attempts - 1
@@ -111,24 +102,15 @@ type PhaseStats struct {
 // Resubmitted jobs attribute everything after acceptance to the final
 // attempt, so phase means stay comparable across failure rates.
 func (g *Grid) Phases() PhaseStats {
-	return phaseStats(g.records, nil)
+	return PhasesOf(g.records)
 }
 
 // PhasesOf computes the per-phase means over an arbitrary record slice,
 // with exactly the semantics of Grid.Phases. See OverheadsOf.
 func PhasesOf(records []*JobRecord) PhaseStats {
-	return phaseStats(records, nil)
-}
-
-// phaseStats computes the per-phase means over the completed records
-// accepted by keep (nil keeps everything).
-func phaseStats(records []*JobRecord, keep func(*JobRecord) bool) PhaseStats {
 	var st PhaseStats
 	var submit, broker, queue, staging float64
 	for _, r := range records {
-		if keep != nil && !keep(r) {
-			continue
-		}
 		if r.Status != StatusCompleted {
 			continue
 		}

@@ -42,7 +42,7 @@ func TestOverheadPercentileEdges(t *testing.T) {
 		{"n=10 even", mk(10, 9, 8, 7, 6, 5, 4, 3, 2, 1), sec(6), sec(10), sec(1), sec(10)},
 	}
 	for _, c := range cases {
-		st := overheadStats(c.recs, nil)
+		st := OverheadsOf(c.recs)
 		if st.Jobs != len(c.recs) {
 			t.Errorf("%s: Jobs = %d", c.name, st.Jobs)
 		}
@@ -54,7 +54,7 @@ func TestOverheadPercentileEdges(t *testing.T) {
 			t.Errorf("%s: percentile ordering violated: %+v", c.name, st)
 		}
 	}
-	if st := overheadStats(nil, nil); st.Jobs != 0 || st.String() != "no completed jobs" {
+	if st := OverheadsOf(nil); st.Jobs != 0 || st.String() != "no completed jobs" {
 		t.Errorf("empty stats = %+v", st)
 	}
 }
@@ -70,7 +70,7 @@ func TestResubmitsCountTerminalJobsOnly(t *testing.T) {
 		{Status: StatusSubmitted, Attempts: 0}, // not yet matched
 		completedRec(2*time.Second, 1),         // clean run
 	}
-	st := overheadStats(recs, nil)
+	st := OverheadsOf(recs)
 	if st.Resubmits != 6 {
 		t.Fatalf("Resubmits = %d, want 6 (terminal jobs only)", st.Resubmits)
 	}
@@ -219,8 +219,10 @@ func TestDefaultConfigSaturation(t *testing.T) {
 }
 
 // TestTenantStatsIsolationOnGrid exercises the tenancy accounting at the
-// grid level: two tenants' overhead views are disjoint and partition the
-// global statistics.
+// grid level: handles are memoized, and every record carries exactly one
+// tenant tag, so the tags partition the grid's records (the per-tenant
+// statistics a federation derives from them are pinned by the federation
+// partition test).
 func TestTenantStatsIsolationOnGrid(t *testing.T) {
 	eng := sim.NewEngine()
 	g := New(eng, quiet(8))
@@ -237,20 +239,15 @@ func TestTenantStatsIsolationOnGrid(t *testing.T) {
 	g.Submit(JobSpec{Runtime: time.Minute}, func(*JobRecord) {}) // default tenant
 	eng.Run()
 
-	sa, sb, global := ta.Overheads(), tb.Overheads(), g.Overheads()
-	if sa.Jobs != 5 || sb.Jobs != 3 || global.Jobs != 9 {
-		t.Fatalf("jobs a=%d b=%d global=%d, want 5/3/9", sa.Jobs, sb.Jobs, global.Jobs)
+	if global := g.Overheads(); global.Jobs != 9 {
+		t.Fatalf("global jobs = %d, want 9", global.Jobs)
 	}
-	for _, r := range ta.Records() {
-		if r.Tenant != "a" {
-			t.Fatalf("tenant a's records include %q", r.Tenant)
-		}
+	byTenant := make(map[string]int)
+	for _, r := range g.Records() {
+		byTenant[r.Tenant]++
 	}
-	if pa := ta.Phases(); pa.Jobs != 5 {
-		t.Fatalf("tenant a phase jobs = %d", pa.Jobs)
-	}
-	if def := g.Tenant("").Overheads(); def.Jobs != 1 {
-		t.Fatalf("default tenant jobs = %d, want 1", def.Jobs)
+	if byTenant["a"] != 5 || byTenant["b"] != 3 || byTenant[""] != 1 || len(byTenant) != 3 {
+		t.Fatalf("records by tenant tag = %v, want a:5 b:3 default:1", byTenant)
 	}
 }
 

@@ -4,9 +4,10 @@ import "repro/internal/sim"
 
 // Tenant is a named submission handle on a shared grid, the unit of
 // multi-tenancy: every job submitted through the handle is tagged with the
-// tenant's name, the fair-share gate at the serialized UI drains tenants
-// round-robin so no tenant's burst starves the others, and the per-tenant
-// statistics filter the global record set down to this tenant's jobs.
+// tenant's name (JobRecord.Tenant), and the fair-share gate at the
+// serialized UI drains tenants round-robin so no tenant's burst starves
+// the others. A federation submits each tenant's jobs through the member
+// grid's handle; per-tenant statistics live on federation.Tenant.
 //
 // Handles are memoized: Grid.Tenant returns the same *Tenant for the same
 // name, so handle identity can stand in for tenant identity (grouped
@@ -39,9 +40,9 @@ func (t *Tenant) Grid() *Grid { return t.g }
 // it makes *Tenant satisfy services.Submitter.
 func (t *Tenant) Catalog() *Catalog { return t.g.catalog }
 
-// Engine returns the simulation engine the shared grid runs on. Campaign
-// workflow builders use it to create tenant-local services (it is part of
-// campaign.Handle).
+// Engine returns the simulation engine the shared grid runs on. With
+// Name, Catalog and Submit it lets a campaign workflow builder target a
+// bare grid (it is part of campaign.Handle).
 func (t *Tenant) Engine() *sim.Engine { return t.g.Eng }
 
 // Submit enters a job tagged with this tenant. Semantics are those of
@@ -50,31 +51,3 @@ func (t *Tenant) Engine() *sim.Engine { return t.g.Eng }
 func (t *Tenant) Submit(spec JobSpec, done func(*JobRecord)) *JobRecord {
 	return t.g.submit(t.name, spec, done)
 }
-
-// Records returns this tenant's job records, in submission order. Records
-// of in-flight jobs are included and still mutating.
-func (t *Tenant) Records() []*JobRecord {
-	var out []*JobRecord
-	for _, r := range t.g.records {
-		if r.Tenant == t.name {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// Overheads computes overhead statistics over this tenant's jobs only.
-// Because every record carries exactly one tenant tag, the per-tenant
-// statistics of all tenants partition the global Grid.Overheads: job,
-// failure and resubmission counts sum to the global ones.
-func (t *Tenant) Overheads() OverheadStats {
-	return overheadStats(t.g.records, t.owns)
-}
-
-// Phases computes the mean per-phase latencies over this tenant's
-// completed jobs only.
-func (t *Tenant) Phases() PhaseStats {
-	return phaseStats(t.g.records, t.owns)
-}
-
-func (t *Tenant) owns(r *JobRecord) bool { return r.Tenant == t.name }

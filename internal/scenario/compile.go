@@ -118,7 +118,7 @@ func Compile(eng *sim.Engine, s *Spec) (*World, error) {
 // federation under the spec's admission gate, and the engine is stepped
 // until the campaign terminates.
 func (w *World) Run() (*campaign.Report, error) {
-	return campaign.RunSite(w.Eng, campaign.OnFederation(w.Fed), w.Tenants, w.Admission)
+	return campaign.RunSite(w.Fed, w.Tenants, w.Admission)
 }
 
 // Start schedules the world's campaign on the engine without driving it:
@@ -127,7 +127,7 @@ func (w *World) Run() (*campaign.Report, error) {
 // broker daemon's boot path. Stepping the returned execution until Done
 // and calling its Report yields exactly what Run returns.
 func (w *World) Start() (*campaign.Execution, error) {
-	return campaign.StartSite(w.Eng, campaign.OnFederation(w.Fed), w.Tenants, w.Admission)
+	return campaign.StartSite(w.Fed, w.Tenants, w.Admission)
 }
 
 // expandGrids resolves presets, overrides and Count families into the

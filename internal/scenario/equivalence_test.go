@@ -51,7 +51,7 @@ func handLocalityWorld(t *testing.T) (*campaign.Report, *federation.Federation) 
 			Build:   campaign.SyntheticChainPlaced(3, 8, 20*time.Second, 20, home, 1),
 		}
 	}
-	rep, err := campaign.RunSite(eng, campaign.OnFederation(f), tenants, campaign.Admission{})
+	rep, err := campaign.RunSite(f, tenants, campaign.Admission{})
 	if err != nil {
 		t.Fatal(err)
 	}

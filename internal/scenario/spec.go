@@ -272,9 +272,11 @@ type BrokerSpec struct {
 type AdmissionSpec struct {
 	// MaxUIBacklog holds arrivals back while the UI backlog exceeds it.
 	MaxUIBacklog int `json:"maxUIBacklog"`
-	// Retry is the re-check period of held-back tenants (0 means 30s).
+	// Retry is the re-check period of held-back tenants (0 means 30s;
+	// negative is rejected).
 	Retry Duration `json:"retry,omitempty"`
-	// MaxDelay bounds admission delay before rejection (0 means unbounded).
+	// MaxDelay bounds admission delay before rejection (0 means
+	// unbounded; negative is rejected).
 	MaxDelay Duration `json:"maxDelay,omitempty"`
 }
 
@@ -344,7 +346,8 @@ type AdaptSpec struct {
 	Interval Duration `json:"interval"`
 	// Slots is the assumed per-tenant concurrency (0 means an equal share).
 	Slots int `json:"slots,omitempty"`
-	// MinBatch and MaxBatch clamp the chosen batch size (0 unclamped).
+	// MinBatch and MaxBatch clamp the chosen batch size (0 unclamped;
+	// minBatch may not exceed a non-zero maxBatch).
 	MinBatch int `json:"minBatch,omitempty"`
 	MaxBatch int `json:"maxBatch,omitempty"`
 }
@@ -646,8 +649,15 @@ func (s *Spec) Validate() error {
 			return s.errAt("ewmaAlpha", "broker EWMA alpha %v outside [0, 1]", b.EWMAAlpha)
 		}
 	}
-	if a := s.Admission; a != nil && a.MaxUIBacklog <= 0 {
-		return s.errAt("admission", "admission.maxUIBacklog must be positive")
+	if a := s.Admission; a != nil {
+		switch {
+		case a.MaxUIBacklog <= 0:
+			return s.errAt("admission", "admission.maxUIBacklog must be positive")
+		case a.Retry < 0:
+			return s.errAt("retry", "admission.retry must not be negative")
+		case a.MaxDelay < 0:
+			return s.errAt("maxDelay", "admission.maxDelay must not be negative")
+		}
 	}
 	if len(s.Tenants) == 0 {
 		return s.errAt(s.Name, "scenario has no tenant groups")
@@ -681,8 +691,15 @@ func (s *Spec) Validate() error {
 		if err := s.validateWorkload(g, gridSet); err != nil {
 			return err
 		}
-		if a := g.Adapt; a != nil && a.Interval <= 0 {
-			return s.errAt(g.Prefix, "tenant group %q adapt interval must be positive", g.Prefix)
+		if a := g.Adapt; a != nil {
+			switch {
+			case a.Interval <= 0:
+				return s.errAt(g.Prefix, "tenant group %q adapt interval must be positive", g.Prefix)
+			case a.Slots < 0 || a.MinBatch < 0 || a.MaxBatch < 0:
+				return s.errAt(g.Prefix, "tenant group %q adapt has negative slots or batch bounds", g.Prefix)
+			case a.MaxBatch > 0 && a.MinBatch > a.MaxBatch:
+				return s.errAt(g.Prefix, "tenant group %q adapt minBatch %d above maxBatch %d", g.Prefix, a.MinBatch, a.MaxBatch)
+			}
 		}
 	}
 	return nil

@@ -141,6 +141,14 @@ func TestSpecRejectsWorldErrors(t *testing.T) {
 	mustReject(t, edit(t, `"links": {"local": true},`,
 		`"links": {"local": true}, "admission": {"maxUIBacklog": 0, "retry": "1m"},`),
 		"admission", "admission.maxUIBacklog must be positive")
+	mustReject(t, edit(t, `"links": {"local": true},`,
+		`"links": {"local": true}, "admission": {"maxUIBacklog": 5,
+  "retry": "-1m"},`),
+		"retry", "admission.retry must not be negative")
+	mustReject(t, edit(t, `"links": {"local": true},`,
+		`"links": {"local": true}, "admission": {"maxUIBacklog": 5,
+  "maxDelay": "-1h"},`),
+		"maxDelay", "admission.maxDelay must not be negative")
 	// Alpha 0 selects the default, so the bound is closed at both ends.
 	mustReject(t, edit(t, `"links": {"local": true},`,
 		`"links": {"local": true}, "broker": {"ewmaAlpha": 1.5},`),
@@ -185,6 +193,14 @@ func TestSpecRejectsTenantErrors(t *testing.T) {
 	mustReject(t, edit(t, `"workload": {"stages": 1, "items": 2, "runtime": "10s",`,
 		`"workload": {"stages": 1, "items": 2, "runtime": "10s", "homes": ["gZ"],`),
 		"gZ", `homes at unknown grid "gZ"`)
+	for _, adapt := range []string{`"slots": -1`, `"minBatch": -1`, `"maxBatch": -2`} {
+		mustReject(t, edit(t, `"prefix": "t", "count": 2, "policy": "p",`,
+			`"prefix": "t", "count": 2, "policy": "p", "adapt": {"interval": "5m", `+adapt+`},`),
+			"t", `tenant group "t" adapt has negative slots or batch bounds`)
+	}
+	mustReject(t, edit(t, `"prefix": "t", "count": 2, "policy": "p",`,
+		`"prefix": "t", "count": 2, "policy": "p", "adapt": {"interval": "5m", "minBatch": 8, "maxBatch": 4},`),
+		"t", `tenant group "t" adapt minBatch 8 above maxBatch 4`)
 
 	// Duplicate tenant prefixes collide in report rows and rng forks.
 	doc := edit(t, `  "tenants": [{`, `  "tenants": [{

@@ -156,19 +156,17 @@ func NewEnactor(eng *Engine, wf *Workflow, opts Options) (*Enactor, error) {
 var AutoGroup = core.AutoGroup
 
 // Multi-tenant campaigns: M workflows, each with its own enactor and
-// options, contending for one shared grid (see internal/campaign).
+// options, contending for a federation's member grids — one shared grid
+// is a one-grid federation with AllLocalLinks (see internal/campaign).
 type (
-	// Campaign configures a multi-tenant run: the shared grid model plus
-	// one TenantSpec per tenant.
-	Campaign = campaign.Config
 	// CampaignTenant describes one tenant: name, arrival instant,
 	// enactor options, workflow builder, optional adaptive granularity.
 	CampaignTenant = campaign.TenantSpec
-	// CampaignBuild constructs a tenant's workflow against its grid
-	// handle.
+	// CampaignBuild constructs a tenant's workflow against its
+	// submission handle.
 	CampaignBuild = campaign.BuildFunc
 	// CampaignReport is the campaign outcome: per-tenant results plus
-	// global grid statistics.
+	// global statistics.
 	CampaignReport = campaign.Report
 	// CampaignTenantResult is one tenant's outcome.
 	CampaignTenantResult = campaign.TenantResult
@@ -179,19 +177,10 @@ type (
 
 // Campaign runners and helpers.
 var (
-	// RunCampaign builds a fresh engine and shared grid and enacts all
-	// tenants concurrently on them.
-	RunCampaign = campaign.Run
-	// RunCampaignSite enacts tenants on an existing engine and site — a
-	// shared grid (CampaignOnGrid) or a federation whose broker spreads
-	// jobs across the member grids (CampaignOnFederation) — with
-	// arrivals gated on the site's UI backlog by a non-zero
-	// CampaignAdmission.
+	// RunCampaignSite enacts all tenants concurrently on a federation,
+	// whose broker spreads their jobs across the member grids, with
+	// arrivals gated on the UI backlog by a non-zero CampaignAdmission.
 	RunCampaignSite = campaign.RunSite
-	// CampaignOnGrid adapts one shared grid into a campaign site.
-	CampaignOnGrid = campaign.OnGrid
-	// CampaignOnFederation adapts a federation into a campaign site.
-	CampaignOnFederation = campaign.OnFederation
 	// SyntheticChain builds the standard campaign workload: a linear
 	// pipeline of wrapper-backed stages with tenant-unique file names.
 	SyntheticChain = campaign.SyntheticChain

@@ -185,15 +185,19 @@ func TestPublicAPIAutoGroup(t *testing.T) {
 func TestPublicAPICampaign(t *testing.T) {
 	gc := IdealGridConfig(32)
 	gc.Overheads.SubmitMean = 2 * time.Second
-	rep, err := RunCampaign(Campaign{
-		Grid: gc,
-		Tenants: []CampaignTenant{
-			{Name: "a", Opts: Options{DataParallelism: true, ServiceParallelism: true},
-				Build: SyntheticChain(2, 4, 10*time.Second, 1)},
-			{Name: "b", Arrival: time.Minute, Opts: Options{DataParallelism: true},
-				Build: SyntheticChain(1, 6, 10*time.Second, 1)},
-		},
+	f, err := NewFederation(NewEngine(), FederationConfig{
+		Grids: []FederationGridSpec{{Config: gc}},
+		Links: AllLocalLinks(),
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := RunCampaignSite(f, []CampaignTenant{
+		{Name: "a", Opts: Options{DataParallelism: true, ServiceParallelism: true},
+			Build: SyntheticChain(2, 4, 10*time.Second, 1)},
+		{Name: "b", Arrival: time.Minute, Opts: Options{DataParallelism: true},
+			Build: SyntheticChain(1, 6, 10*time.Second, 1)},
+	}, CampaignAdmission{})
 	if err != nil {
 		t.Fatal(err)
 	}
