@@ -46,7 +46,7 @@ func localityTenants(n int, skew float64) []TenantSpec {
 // slowWAN is the locality scenario's link model: 1 MB/s across grids with
 // a 10 s per-file setup, so a 20 MB file costs 30 s to misplace — on the
 // order of the quiet grids' whole middleware overhead.
-func slowWAN() grid.LinkModel {
+func slowWAN() *grid.Links {
 	return &grid.Links{WAN: grid.Link{MBps: 1, Latency: 10 * time.Second}}
 }
 
@@ -54,7 +54,7 @@ func slowWAN() grid.LinkModel {
 // under the given policy and link model. streams > 0 makes the WAN fabric
 // contended (that many concurrent fetch legs per grid pair); 0 keeps the
 // uncontended pure-delay model.
-func runLocality(t *testing.T, policy federation.Policy, links grid.LinkModel, skew float64, streams int) (*Report, *federation.Federation) {
+func runLocality(t *testing.T, policy federation.Policy, links *grid.Links, skew float64, streams int) (*Report, *federation.Federation) {
 	t.Helper()
 	eng := sim.NewEngine()
 	f, err := federation.New(eng, federation.Config{Grids: localitySpecs(), Policy: policy, Links: links, WANStreams: streams})

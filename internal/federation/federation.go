@@ -82,9 +82,10 @@ type Config struct {
 	// and what the broker's locality-aware policies estimate that cost
 	// to be. Nil means grid.DefaultWAN (cross-grid fetches pay a real
 	// WAN link); pass grid.LocalLinks() to restore the location-blind
-	// federation where cross-grid staging was free. A per-pair
-	// grid.LinkMatrix is accepted like any other model.
-	Links grid.LinkModel
+	// federation where cross-grid staging was free. Links.Pairs holds
+	// measured per-pair overrides. New rejects a negative bandwidth or
+	// latency in any class or pair.
+	Links *grid.Links
 	// WANStreams, when positive, makes the WAN fabric contended: a
 	// capacity-limited shared channel (that many concurrent fetch legs)
 	// is created per ordered member-grid pair and attached to the shared
@@ -92,10 +93,6 @@ type Config struct {
 	// other instead of overlapping for free. Zero keeps the uncontended
 	// pure-delay transfer model (the PR 4 behaviour).
 	WANStreams int
-	// Fabric optionally supplies a pre-built contended fabric (e.g. with
-	// per-pair capacity overrides); it takes precedence over WANStreams.
-	// The fabric must run on the federation's engine.
-	Fabric *grid.Fabric
 	// Outages schedules member-grid outage windows at construction time
 	// (instants are relative to the engine clock at New). Windows of one
 	// grid and one mode (full vs storage-only, see Outage.Storage) must
@@ -217,7 +214,6 @@ type Federation struct {
 	policy  Policy
 	alpha   float64
 	catalog *grid.Catalog
-	fabric  *grid.Fabric
 	tenants map[string]*Tenant
 	telem   []Telemetry
 	// records holds every dispatched attempt in dispatch order, across
@@ -255,6 +251,9 @@ func New(eng *sim.Engine, cfg Config) (*Federation, error) {
 	if cfg.MinReplicas < 0 {
 		return nil, errors.New("federation: negative MinReplicas")
 	}
+	if cfg.Links != nil && negativeLinks(cfg.Links) {
+		return nil, errors.New("federation: Links has a negative bandwidth or latency")
+	}
 	f := &Federation{
 		eng:     eng,
 		cfg:     cfg,
@@ -282,14 +281,9 @@ func New(eng *sim.Engine, cfg Config) (*Federation, error) {
 		links = grid.DefaultWAN()
 	}
 	f.catalog.SetLinks(links)
-	f.fabric = cfg.Fabric
-	if f.fabric != nil && f.fabric.Engine() != eng {
-		return nil, errors.New("federation: Config.Fabric runs on a different engine")
+	if cfg.WANStreams > 0 {
+		f.catalog.SetFabric(grid.NewFabric(eng, cfg.WANStreams))
 	}
-	if f.fabric == nil && cfg.WANStreams > 0 {
-		f.fabric = grid.NewFabric(eng, cfg.WANStreams)
-	}
-	f.catalog.SetFabric(f.fabric)
 	seen := make(map[string]bool, len(cfg.Grids))
 	for i, gs := range cfg.Grids {
 		name := gs.Name
@@ -413,7 +407,7 @@ func (f *Federation) Telemetry(i int) Telemetry { return f.telem[i] }
 
 // Fabric returns the contended WAN fabric attached to the shared catalog
 // (nil when cross-grid fetches are uncontended pure delays).
-func (f *Federation) Fabric() *grid.Fabric { return f.fabric }
+func (f *Federation) Fabric() *grid.Fabric { return f.catalog.Fabric() }
 
 // SetDown takes member grid i dark: it stops receiving brokered picks
 // and every job attempt still in its pipeline fails with
@@ -525,6 +519,19 @@ func (f *Federation) Submit(spec grid.JobSpec, done func(*grid.JobRecord)) *grid
 
 func (f *Federation) submit(tenant string, spec grid.JobSpec, done func(*grid.JobRecord)) *grid.JobRecord {
 	return f.dispatch(tenant, spec, done, f.pick(spec, -1), f.cfg.Rebroker)
+}
+
+// negativeLinks reports whether any class or pair of the link model has a
+// negative bandwidth or latency (a negative latency would schedule a
+// fetch before it was asked for).
+func negativeLinks(l *grid.Links) bool {
+	neg := func(k grid.Link) bool { return k.MBps < 0 || k.Latency < 0 }
+	bad := neg(l.IntraGrid) || neg(l.WAN)
+	//moteur:orderinvariant a disjunction over the pairs is order-free
+	for _, p := range l.Pairs {
+		bad = bad || neg(p)
+	}
+	return bad
 }
 
 // pick rebuilds the policy's views for this job and asks the policy for a

@@ -363,6 +363,12 @@ func TestFederationConfigValidation(t *testing.T) {
 		{"clusterless member", Config{Grids: []GridSpec{{Name: "x"}}}},
 		{"negative rebroker", Config{Grids: []GridSpec{ok}, Rebroker: -1}},
 		{"alpha out of range", Config{Grids: []GridSpec{ok}, EWMAAlpha: 1.5}},
+		{"negative WAN bandwidth", Config{Grids: []GridSpec{ok}, Links: &grid.Links{WAN: grid.Link{MBps: -1}}}},
+		{"negative WAN latency", Config{Grids: []GridSpec{ok}, Links: &grid.Links{WAN: grid.Link{MBps: 1, Latency: -time.Second}}}},
+		{"negative intra-grid bandwidth", Config{Grids: []GridSpec{ok}, Links: &grid.Links{IntraGrid: grid.Link{MBps: -1}}}},
+		{"negative intra-grid latency", Config{Grids: []GridSpec{ok}, Links: &grid.Links{IntraGrid: grid.Link{Latency: -time.Second}}}},
+		{"negative pair bandwidth", Config{Grids: []GridSpec{ok}, Links: &grid.Links{Pairs: map[grid.GridPair]grid.Link{{From: "a", To: "b"}: {MBps: -1}}}}},
+		{"negative pair latency", Config{Grids: []GridSpec{ok}, Links: &grid.Links{Pairs: map[grid.GridPair]grid.Link{{From: "a", To: "b"}: {MBps: 1, Latency: -time.Second}}}}},
 	}
 	for _, c := range cases {
 		if _, err := New(eng, c.cfg); err == nil {

@@ -338,22 +338,6 @@ func TestPoliciesPreferUpExcludedOverDown(t *testing.T) {
 	}
 }
 
-// TestForeignEngineFabricRejected pins the construction-time fabric
-// check: a pre-built fabric on a different engine would schedule every
-// contended fetch on the wrong queue and silently stall the simulation,
-// so New must reject it.
-func TestForeignEngineFabricRejected(t *testing.T) {
-	specs := []GridSpec{{Name: "a", Config: testGridConfig(4, 2*time.Second)}}
-	foreign := grid.NewFabric(sim.NewEngine(), 1)
-	if _, err := New(sim.NewEngine(), Config{Grids: specs, Fabric: foreign}); err == nil {
-		t.Error("a fabric on a foreign engine was accepted")
-	}
-	eng := sim.NewEngine()
-	if _, err := New(eng, Config{Grids: specs, Fabric: grid.NewFabric(eng, 1)}); err != nil {
-		t.Errorf("a fabric on the federation's own engine was rejected: %v", err)
-	}
-}
-
 // TestOutageConfigValidation pins the construction-time checks.
 func TestOutageConfigValidation(t *testing.T) {
 	specs := []GridSpec{{Name: "a", Config: testGridConfig(4, 2*time.Second)}}

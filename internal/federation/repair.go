@@ -85,11 +85,10 @@ func (f *Federation) scheduleRepair(name string) {
 	// the chosen target. LiveReplicas returns deterministic site order, so
 	// keeping the first minimum is the lexical tie-break.
 	dst := grid.Site{Grid: f.names[target]}
-	links := f.catalog.Links()
 	src := live[0].Site
-	d := links.Link(src, dst).Cost(size)
+	d := f.catalog.Link(src, dst).Cost(size)
 	for _, r := range live[1:] {
-		if c := links.Link(r.Site, dst).Cost(size); c < d {
+		if c := f.catalog.Link(r.Site, dst).Cost(size); c < d {
 			src, d = r.Site, c
 		}
 	}

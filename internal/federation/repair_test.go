@@ -22,7 +22,7 @@ func repairSites(f *Federation, name string) []string {
 // repairTestbed builds n quiet member grids g0..g(n-1) under the given
 // replication floor and link model (nil keeps the federation's default
 // WAN), returning the engine and federation.
-func repairTestbed(t *testing.T, n, minReplicas int, links grid.LinkModel) (*sim.Engine, *Federation) {
+func repairTestbed(t *testing.T, n, minReplicas int, links *grid.Links) (*sim.Engine, *Federation) {
 	t.Helper()
 	specs := make([]GridSpec, n)
 	for i := range specs {
@@ -101,13 +101,11 @@ func TestRepairRetriesAfterTargetDeath(t *testing.T) {
 // The link matrix makes g0 (lexically first) a 70 s source into g2 and
 // g1 a 10 s one; picking wrong is visible as a 60 s later drain.
 func TestRepairPicksCheapestSource(t *testing.T) {
-	links := &grid.LinkMatrix{
-		Pairs: map[grid.GridPair]grid.Link{
-			{From: "g0", To: "g1"}: {MBps: 60},                           // 1 s: repair #1 lands fast
-			{From: "g0", To: "g2"}: {MBps: 1, Latency: 10 * time.Second}, // 70 s: the trap
-			{From: "g1", To: "g2"}: {MBps: 6},                            // 10 s: the cheapest source
-		},
-		Fallback: grid.DefaultWAN(),
+	links := grid.DefaultWAN()
+	links.Pairs = map[grid.GridPair]grid.Link{
+		{From: "g0", To: "g1"}: {MBps: 60},                           // 1 s: repair #1 lands fast
+		{From: "g0", To: "g2"}: {MBps: 1, Latency: 10 * time.Second}, // 70 s: the trap
+		{From: "g1", To: "g2"}: {MBps: 6},                            // 10 s: the cheapest source
 	}
 	eng, f := repairTestbed(t, 3, 3, links)
 	cat := f.Catalog()

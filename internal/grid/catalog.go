@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"maps"
 	"sort"
 	"time"
 
@@ -37,13 +38,15 @@ type catEntry struct {
 // registration discipline is the real one: a job may only consume files
 // that have been registered, and registers its outputs on completion at
 // the site that produced them, which is how both data dependencies and
-// data locality propagate through the grid. A LinkModel attached to the
-// catalog prices the movement of a replica to a consuming site; stage-in
+// data locality propagate through the grid. The Links attached to the
+// catalog price the movement of a replica to a consuming site; stage-in
 // picks the cheapest replica under that model.
 type Catalog struct {
 	files  map[string]*catEntry
-	links  LinkModel
+	links  Links
 	fabric *Fabric
+	// allLocal caches links.allLocal(), computed once per SetLinks.
+	allLocal bool
 
 	// Active storage state (see storage.go): per-site storage elements,
 	// grid- and element-level darkness, the k-replication floor and its
@@ -70,22 +73,27 @@ type Catalog struct {
 // every replica is as good as any other and the transfer model reduces to
 // the location-blind one.
 func NewCatalog() *Catalog {
-	return &Catalog{files: make(map[string]*catEntry), links: LocalLinks()}
+	return &Catalog{files: make(map[string]*catEntry), allLocal: true}
 }
 
-// SetLinks attaches the link model that prices replica movement. A nil
+// SetLinks attaches the link model that prices replica movement. The
+// catalog keeps its own copy (Pairs included), so later edits to l do not
+// reach it and pricing stays a pure function of what it was given. A nil
 // model resets to LocalLinks. Federations call this once at construction;
 // swapping models mid-run is legal but changes stage-in costs from that
 // virtual instant on.
-func (c *Catalog) SetLinks(lm LinkModel) {
-	if lm == nil {
-		lm = LocalLinks()
+func (c *Catalog) SetLinks(l *Links) {
+	if l == nil {
+		l = LocalLinks()
 	}
-	c.links = lm
+	c.links = *l
+	c.links.Pairs = maps.Clone(l.Pairs)
+	c.allLocal = c.links.allLocal()
 }
 
-// Links returns the link model pricing replica movement.
-func (c *Catalog) Links() LinkModel { return c.links }
+// Link prices the edge from a replica's site to a consumer under the
+// attached link model.
+func (c *Catalog) Link(from, to Site) Link { return c.links.Link(from, to) }
 
 // SetFabric attaches the contended WAN fabric that remote stage-in legs
 // acquire channels on. Nil detaches it, restoring the pure-delay remote
@@ -97,14 +105,11 @@ func (c *Catalog) SetFabric(f *Fabric) { c.fabric = f }
 // fetches are uncontended pure delays).
 func (c *Catalog) Fabric() *Fabric { return c.fabric }
 
-// AllLocal reports whether the attached link model is the all-local one,
-// under which every fetch estimate is provably zero — the matchmaker's
-// and the federation broker's licence to skip stage planning entirely on
-// their ranking hot paths.
-func (c *Catalog) AllLocal() bool {
-	_, ok := c.links.(localLinks)
-	return ok
-}
+// AllLocal reports whether every edge of the attached link model is
+// local, under which every fetch estimate is provably zero — the
+// matchmaker's and the federation broker's licence to skip stage planning
+// entirely on their ranking hot paths.
+func (c *Catalog) AllLocal() bool { return c.allLocal }
 
 // Register records a file and its size in MB as a single unplaced
 // replica, the location-free compatibility path: an unplaced replica is
@@ -322,8 +327,8 @@ type StagePlan struct {
 	// Remote breaks the remote class down by source grid, in lexical
 	// source-grid order — the legs a contended stage-in walks, acquiring
 	// each leg's (fromGrid, toGrid) channel for the leg's fetch time. It
-	// is only materialized by PlanDetailed; Plan leaves it nil so the
-	// broker ranking hot paths stay allocation-free.
+	// is only materialized by stage-in; Plan leaves it nil so the broker
+	// ranking hot paths stay allocation-free.
 	Remote []RemoteLeg
 	// Missing is the first input (in declaration order) absent from the
 	// catalog; the plan is unusable when it is non-empty.
@@ -372,15 +377,9 @@ type RemoteLeg struct {
 // cluster rankers use it for cost estimates with exactly the semantics
 // stage-in will pay.
 func (c *Catalog) Plan(inputs []string, to Site) StagePlan {
-	return c.plan(inputs, to, false, false)
-}
-
-// PlanDetailed is Plan with the per-source-grid leg breakdown
-// (StagePlan.Remote) materialized, in lexical source-grid order. The
-// contended stage-in path uses it to acquire each leg's WAN channel;
-// rankers keep using Plan, whose aggregate-only result allocates nothing.
-func (c *Catalog) PlanDetailed(inputs []string, to Site) StagePlan {
-	return c.plan(inputs, to, true, false)
+	var p StagePlan
+	c.planInto(&p, inputs, to, false, false)
+	return p
 }
 
 // stagePlanInto is the plan variant of the actual stage-in path: legs are
@@ -393,12 +392,6 @@ func (c *Catalog) stagePlanInto(p *StagePlan, inputs []string, to Site) {
 	c.planInto(p, inputs, to, true, true)
 }
 
-func (c *Catalog) plan(inputs []string, to Site, detail, touch bool) StagePlan {
-	var p StagePlan
-	c.planInto(&p, inputs, to, detail, touch)
-	return p
-}
-
 // reset clears the plan for reuse, keeping the remote-leg backing array
 // (and, through addLeg's spare-backing recycling, the legs' Sites arrays)
 // so a recycled plan materializes its legs without allocating.
@@ -408,7 +401,7 @@ func (p *StagePlan) reset() {
 }
 
 // planInto resolves the inputs into the caller-owned plan, which is reset
-// first. It is the engine behind Plan/PlanDetailed/stagePlanInto; callers
+// first. It is the engine behind Plan and stagePlanInto; callers
 // that recycle the plan across rounds get leg materialization without
 // per-round allocations.
 func (c *Catalog) planInto(p *StagePlan, inputs []string, to Site, detail, touch bool) {

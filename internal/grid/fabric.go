@@ -14,69 +14,33 @@ import (
 // fetches over the same pair queue FIFO and stretch each other — the
 // congestion-collapse mechanism the pure-delay model of PR 4 could not
 // express. Channels are created lazily on first use with the fabric's
-// default stream count (or a per-pair override), and everything runs on
-// the single-threaded engine, so grant order is schedule order and runs
-// stay bit-deterministic.
+// stream count, and everything runs on the single-threaded engine, so
+// grant order is schedule order and runs stay bit-deterministic.
 type Fabric struct {
-	eng       *sim.Engine
-	streams   int
-	overrides map[GridPair]int
-	chans     map[GridPair]*sim.Resource
+	eng     *sim.Engine
+	streams int
+	chans   map[GridPair]*sim.Resource
 }
 
-// NewFabric returns a fabric whose channels default to the given number
-// of concurrent streams per ordered grid pair. Streams must be positive:
+// NewFabric returns a fabric whose channels carry the given number of
+// concurrent streams per ordered grid pair. Streams must be positive:
 // an uncontended fabric is expressed by not attaching one at all (the
 // pure-delay model), not by a zero capacity.
 func NewFabric(eng *sim.Engine, streams int) *Fabric {
 	if streams <= 0 {
 		panic("grid: NewFabric with non-positive streams")
 	}
-	return &Fabric{
-		eng:       eng,
-		streams:   streams,
-		overrides: make(map[GridPair]int),
-		chans:     make(map[GridPair]*sim.Resource),
-	}
-}
-
-// Streams returns the default per-pair channel capacity.
-func (f *Fabric) Streams() int { return f.streams }
-
-// Engine returns the engine the fabric's channels run on. Consumers that
-// are handed a pre-built fabric (federation.Config.Fabric) validate it
-// against their own engine: channels scheduling on a foreign engine
-// would silently stall every contended fetch.
-func (f *Fabric) Engine() *sim.Engine { return f.eng }
-
-// SetPairStreams overrides the channel capacity of one ordered grid pair
-// (asymmetric links are expressible by overriding each direction
-// separately). It must be called before the pair's channel is first used;
-// overriding a live channel would re-create it and lose its queue, so
-// that is rejected with a panic.
-func (f *Fabric) SetPairStreams(from, to string, streams int) {
-	if streams <= 0 {
-		panic("grid: SetPairStreams with non-positive streams")
-	}
-	key := GridPair{From: from, To: to}
-	if _, live := f.chans[key]; live {
-		panic("grid: SetPairStreams on a pair whose channel is already in use")
-	}
-	f.overrides[key] = streams
+	return &Fabric{eng: eng, streams: streams, chans: make(map[GridPair]*sim.Resource)}
 }
 
 // Channel returns the shared channel of the ordered (from, to) grid pair,
-// creating it on first use with the pair's configured capacity.
+// creating it on first use with the fabric's stream count.
 func (f *Fabric) Channel(from, to string) *sim.Resource {
 	key := GridPair{From: from, To: to}
 	if ch, ok := f.chans[key]; ok {
 		return ch
 	}
-	streams := f.streams
-	if s, ok := f.overrides[key]; ok {
-		streams = s
-	}
-	ch := sim.NewResource(f.eng, streams)
+	ch := sim.NewResource(f.eng, f.streams)
 	f.chans[key] = ch
 	return ch
 }

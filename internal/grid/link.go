@@ -5,10 +5,9 @@ import "time"
 // Site identifies a storage location: a computing element's close storage
 // element within a named grid. The zero Site is the "unplaced" location of
 // a file registered through the location-free compatibility path
-// (Catalog.Register): every link model must treat an unplaced replica as
-// local to any consumer, which is what keeps single-grid code that never
-// names locations behaving exactly as before the catalog learned about
-// them.
+// (Catalog.Register): Links treats an unplaced replica as local to any
+// consumer, which is what keeps single-grid code that never names
+// locations behaving exactly as before the catalog learned about them.
 type Site struct {
 	// Grid names the infrastructure the replica lives on (Config.Name;
 	// empty for a standalone grid built without a name).
@@ -63,24 +62,18 @@ func (l Link) Cost(sizeMB float64) time.Duration {
 	return d
 }
 
-// LinkModel gives the link between a replica's site and a consuming site.
-// Implementations must be pure functions of their configuration and the
-// two sites: stage-in planning and broker ranking call Link at arbitrary
-// points of the event schedule, so any hidden state would break the
-// simulator's determinism. An unplaced replica (from.IsZero()) must map to
-// a local link.
-type LinkModel interface {
-	// Link returns the edge from the replica's site to the consumer.
-	Link(from, to Site) Link
-}
-
-// Links is the default three-class link model of an LCG2-style federation:
-// intra-cluster (the replica sits behind the consuming CE's close SE —
-// free beyond the close-SE transfer every job pays), intra-grid (another
-// CE of the same grid) and WAN (another grid of the federation), with
-// intra-cluster ≪ intra-grid ≪ WAN. A zero-valued class is treated as
-// local, so the zero Links value reproduces the location-blind transfer
-// model exactly.
+// Links is the transfer topology of an LCG2-style federation: two link
+// classes — intra-grid (another CE of the same grid) and WAN (another
+// grid of the federation), with intra-cluster ≪ intra-grid ≪ WAN — plus
+// a measured per-pair matrix layered over them, the shape of Venugopal et
+// al.'s per-pair link quality ranking and Sadeghiram et al.'s distance
+// matrices. A zero-valued class or pair is treated as local, so the zero
+// Links value reproduces the location-blind transfer model exactly, and a
+// matrix listing every ordered pair at the class constants prices every
+// edge bit-identically to the classes alone. Link is a pure function of
+// the configuration and the two sites: stage-in planning and broker
+// ranking call it at arbitrary points of the event schedule, so any
+// hidden state would break the simulator's determinism.
 type Links struct {
 	// IntraGrid is the edge between two clusters of the same grid. The
 	// zero value treats intra-grid transfers as local (the default: the
@@ -91,23 +84,47 @@ type Links struct {
 	// value treats cross-grid transfers as local (the PR 3 shared-catalog
 	// behaviour, where federated staging was free).
 	WAN Link
+	// Pairs maps ordered grid pairs to their measured link, overriding
+	// the class of the pair (a (g, g) entry refines g's cross-cluster
+	// movement). A zero-valued link listed here degrades to local,
+	// matching the class semantics.
+	Pairs map[GridPair]Link
 }
 
-// Link implements LinkModel: same cluster (or an unplaced replica) is
-// local, same grid is IntraGrid, anything else is WAN.
+// Link returns the edge from the replica's site to the consumer. An
+// unplaced replica, the same site, and a same-grid consumer with only
+// grid-level knowledge (a broker's view) or the same close SE are local;
+// otherwise a listed (fromGrid, toGrid) pair is priced by the matrix,
+// and an unlisted one by its class: IntraGrid within a grid, WAN across.
 func (l *Links) Link(from, to Site) Link {
 	if from.IsZero() || from == to {
 		return Link{Local: true}
 	}
-	if from.Grid == to.Grid && from.Cluster != "" && to.Cluster != "" && from.Cluster != to.Cluster {
-		return orLocal(l.IntraGrid)
-	}
-	if from.Grid == to.Grid {
-		// Same grid, but one side only knows the grid (a broker's view):
-		// resident on the grid means no WAN movement.
+	if from.Grid == to.Grid && (from.Cluster == "" || to.Cluster == "" || from.Cluster == to.Cluster) {
 		return Link{Local: true}
 	}
+	if p, ok := l.Pairs[GridPair{From: from.Grid, To: to.Grid}]; ok {
+		return orLocal(p)
+	}
+	if from.Grid == to.Grid {
+		return orLocal(l.IntraGrid)
+	}
 	return orLocal(l.WAN)
+}
+
+// allLocal reports whether every edge the model can return is local:
+// both classes and every listed pair degrade to local.
+func (l *Links) allLocal() bool {
+	if !orLocal(l.IntraGrid).Local || !orLocal(l.WAN).Local {
+		return false
+	}
+	//moteur:orderinvariant a conjunction over the pairs is order-free
+	for _, p := range l.Pairs {
+		if !orLocal(p).Local {
+			return false
+		}
+	}
+	return true
 }
 
 // orLocal degrades a zero-valued link class to local.
@@ -120,54 +137,13 @@ func orLocal(l Link) Link {
 
 // GridPair is one ordered (from, to) edge of the grid-level transfer
 // topology: the direction a replica moves when a job on grid To consumes
-// a file resident on grid From. Per-pair link matrices and the contended
-// WAN fabric key their state by it.
+// a file resident on grid From. The per-pair link matrix (Links.Pairs)
+// and the contended WAN fabric key their state by it.
 type GridPair struct {
 	// From names the grid the replica lives on.
 	From string
 	// To names the grid consuming the replica.
 	To string
-}
-
-// LinkMatrix is the per-pair link model: a measured (fromGrid, toGrid) →
-// bandwidth/latency matrix, the shape of Venugopal et al.'s per-pair link
-// quality ranking and Sadeghiram et al.'s distance matrices, layered over
-// a class-based fallback. Pairs present in the matrix are priced exactly
-// as listed; pairs absent from it fall back to the class model, so a
-// matrix populated with the uniform class constants is bit-identical to
-// the class model itself (the strict-generalization property the tests
-// pin). Intra-cluster transfers and unplaced replicas are always local,
-// and a grid-level consumer view of data resident on its own grid is
-// local too, exactly as in Links.
-type LinkMatrix struct {
-	// Pairs maps ordered grid pairs to their measured link. A zero-valued
-	// link listed here degrades to local, matching the class semantics.
-	Pairs map[GridPair]Link
-	// Fallback prices pairs absent from the matrix. Nil means the zero
-	// Links model (everything local), so a matrix alone prices exactly
-	// the pairs it lists.
-	Fallback LinkModel
-}
-
-// Link implements LinkModel: same cluster (or an unplaced replica) is
-// local, a listed (fromGrid, toGrid) pair is priced by the matrix, and
-// everything else falls back to the class model.
-func (m *LinkMatrix) Link(from, to Site) Link {
-	if from.IsZero() || from == to {
-		return Link{Local: true}
-	}
-	if from.Grid == to.Grid && (from.Cluster == "" || to.Cluster == "" || from.Cluster == to.Cluster) {
-		// Same grid with only grid-level knowledge (a broker's view) or
-		// the same close SE: resident means no movement, as in Links.
-		return Link{Local: true}
-	}
-	if l, ok := m.Pairs[GridPair{From: from.Grid, To: to.Grid}]; ok {
-		return orLocal(l)
-	}
-	if m.Fallback != nil {
-		return m.Fallback.Link(from, to)
-	}
-	return Link{Local: true}
 }
 
 // DefaultWAN returns the standard federation link model: intra-grid
@@ -179,14 +155,9 @@ func DefaultWAN() *Links {
 	return &Links{WAN: Link{MBps: 2, Latency: 5 * time.Second}}
 }
 
-// LocalLinks returns the link model that treats every replica as local:
-// the location-blind transfer model the catalog had before it learned
-// about sites (and the PR 3 federation's free cross-grid staging). It is
-// the compatibility escape hatch and the control arm of locality
-// experiments.
-func LocalLinks() LinkModel { return localLinks{} }
-
-type localLinks struct{}
-
-// Link implements LinkModel: everything is local.
-func (localLinks) Link(from, to Site) Link { return Link{Local: true} }
+// LocalLinks returns the link model that treats every replica as local
+// (the zero Links): the location-blind transfer model the catalog had
+// before it learned about sites (and the PR 3 federation's free
+// cross-grid staging). It is the compatibility escape hatch and the
+// control arm of locality experiments.
+func LocalLinks() *Links { return &Links{} }

@@ -285,9 +285,6 @@ func (c *Catalog) SetReplicaFloor(k int) {
 	c.floor = k
 }
 
-// ReplicaFloor returns the configured replication floor.
-func (c *Catalog) ReplicaFloor() int { return c.floor }
-
 // SetRepairHook registers the callback invoked, synchronously and inside
 // the engine's virtual time, whenever a file's live replica count drops
 // below the replica floor: on registration (a fresh single-copy file under

@@ -588,9 +588,20 @@ func (s *Spec) Validate() error {
 		}
 	}
 	if l := s.Links; l != nil {
-		if l.Local && (l.WANMBps != 0 || l.IntraGridMBps != 0 || len(l.Pairs) != 0) {
+		if l.Local && (l.WANMBps != 0 || l.WANLatency != 0 || l.IntraGridMBps != 0 || l.IntraGridLatency != 0 || len(l.Pairs) != 0) {
 			return s.errAt("links", "links.local excludes every other link field")
 		}
+		switch {
+		case l.WANMBps < 0:
+			return s.errAt("wanMBps", "negative links.wanMBps")
+		case l.WANLatency < 0:
+			return s.errAt("wanLatency", "negative links.wanLatency")
+		case l.IntraGridMBps < 0:
+			return s.errAt("intraGridMBps", "negative links.intraGridMBps")
+		case l.IntraGridLatency < 0:
+			return s.errAt("intraGridLatency", "negative links.intraGridLatency")
+		}
+		seenPair := make(map[PairSpec]bool, len(l.Pairs))
 		for _, p := range l.Pairs {
 			if !gridSet[p.From] {
 				return s.errAt(p.From, "link pair references unknown grid %q", p.From)
@@ -604,6 +615,14 @@ func (s *Spec) Validate() error {
 			if p.MBps <= 0 {
 				return s.errAt(p.From, "link pair %s>%s has non-positive bandwidth", p.From, p.To)
 			}
+			if p.Latency < 0 {
+				return s.errAt("pairs", "link pair %s>%s has a negative latency", p.From, p.To)
+			}
+			key := PairSpec{From: p.From, To: p.To}
+			if seenPair[key] {
+				return s.errAt("pairs", "duplicate link pair %s>%s", p.From, p.To)
+			}
+			seenPair[key] = true
 		}
 	}
 	if s.WANStreams < 0 {

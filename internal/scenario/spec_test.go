@@ -107,6 +107,37 @@ func TestSpecRejectsWorldErrors(t *testing.T) {
 	mustReject(t, edit(t, `"links": {"local": true},`, `"links": {"local": true, "wanMBps": 2},`),
 		"links", "links.local excludes")
 
+	// links.local drops latencies too, so it excludes them as well.
+	mustReject(t, edit(t, `"links": {"local": true},`, `"links": {"local": true, "wanLatency": "5s"},`),
+		"links", "links.local excludes")
+	mustReject(t, edit(t, `"links": {"local": true},`, `"links": {"local": true, "intraGridLatency": "1s"},`),
+		"links", "links.local excludes")
+
+	// Negative class links: a negative latency would schedule a fetch in
+	// the past and panic the engine.
+	for _, field := range []string{"wanMBps", "wanLatency", "intraGridMBps", "intraGridLatency"} {
+		value := `-2`
+		if strings.HasSuffix(field, "Latency") {
+			value = `"-60s"`
+		}
+		mustReject(t, edit(t, `"links": {"local": true},`, `"links": {
+    "`+field+`": `+value+`},`), field, "negative links."+field)
+	}
+
+	// A negative pair latency, and a pair listed twice (the last entry
+	// would silently win); both need a second grid to pair with.
+	twoGrids := func(links string) string {
+		return strings.Replace(edit(t, `"links": {"local": true},`, links),
+			`{"name": "g0", "preset": "quiet", "nodes": 4}`, `{"name": "g", "count": 2, "preset": "quiet", "nodes": 4}`, 1)
+	}
+	mustReject(t, twoGrids(`"links": {"wanMBps": 2,
+    "pairs": [{"from": "g0", "to": "g1", "mbps": 1, "latency": "-2s"}]},`),
+		"pairs", "link pair g0>g1 has a negative latency")
+	mustReject(t, twoGrids(`"links": {"wanMBps": 2,
+    "pairs": [{"from": "g0", "to": "g1", "mbps": 1},
+              {"from": "g0", "to": "g1", "mbps": 4}]},`),
+		"pairs", "duplicate link pair g0>g1")
+
 	// A pair override naming a grid outside the federation.
 	doc := edit(t, `"links": {"local": true},`,
 		`"links": {"wanMBps": 2, "wanLatency": "5s",

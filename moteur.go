@@ -246,24 +246,19 @@ var (
 	FederationRankedSafe = federation.RankedSafe
 )
 
-// Data locality: the replica catalog pins files to sites and a link model
+// Data locality: the replica catalog pins files to sites and DataLinks
 // prices moving them (see internal/grid's catalog and link files).
 type (
 	// DataSite identifies a storage location: a cluster of a named grid.
 	DataSite = grid.Site
 	// DataLink is one edge of the transfer topology.
 	DataLink = grid.Link
-	// DataLinkModel prices replica movement between sites.
-	DataLinkModel = grid.LinkModel
-	// DataLinks is the default three-class link model (intra-cluster ≪
-	// intra-grid ≪ WAN).
+	// DataLinks is the one link model: class links (intra-cluster ≪
+	// intra-grid ≪ WAN) plus measured per-grid-pair overrides (Pairs).
 	DataLinks = grid.Links
 	// DataGridPair is one ordered (fromGrid, toGrid) edge of the
-	// grid-level transfer topology.
+	// grid-level transfer topology, the key of DataLinks.Pairs.
 	DataGridPair = grid.GridPair
-	// DataLinkMatrix prices replica movement per ordered grid pair,
-	// falling back to a class model for unlisted pairs.
-	DataLinkMatrix = grid.LinkMatrix
 	// DataReplica is one physical copy of a registered file at a site.
 	DataReplica = grid.Replica
 	// WANFabric is the contended WAN fabric: one capacity-limited shared
@@ -282,7 +277,7 @@ var (
 	// AllLocalLinks treats every replica as local — the location-blind
 	// transfer model (PR 3 free cross-grid staging).
 	AllLocalLinks = grid.LocalLinks
-	// NewWANFabric builds a contended WAN fabric with the given default
+	// NewWANFabric builds a contended WAN fabric with the given
 	// per-pair stream count on the engine.
 	NewWANFabric = grid.NewFabric
 )
