@@ -1,15 +1,16 @@
-// Command federation sweeps broker policies over a multi-grid federated
-// campaign: the same multi-tenant load is enacted once per policy on a
-// fresh, identically-seeded federation of heterogeneous grids, so the
-// per-policy makespan distributions and per-grid dispatch tables are
-// directly comparable. Every world is built by the scenario compiler:
-// the flags synthesize one scenario.Spec — member grids from
-// scenario.HeterogeneousGrids (the default production-grid model with
-// skewed capacity and UI latency, the regime where brokering matters: a
-// policy blind to middleware quality parks load behind slow serialized
-// UIs), one staggered tenant group rotating four option mixes — and each
-// sweep cell re-sets the spec's broker policy, skew or WAN bandwidth,
-// then compiles and runs it on a fresh engine.
+// Command federation is the campaign CLI. It sweeps broker policies over
+// a multi-grid federated campaign: the same multi-tenant load is enacted
+// once per policy on a fresh, identically-seeded federation of
+// heterogeneous grids, so the per-policy makespan distributions and
+// per-grid dispatch tables are directly comparable. Every world is built
+// by the scenario compiler: the flags synthesize one scenario.Spec —
+// member grids from scenario.HeterogeneousGrids (the default
+// production-grid model with skewed capacity and UI latency, the regime
+// where brokering matters: a policy blind to middleware quality parks
+// load behind slow serialized UIs), one staggered tenant group rotating
+// four option mixes — and each sweep cell re-sets the spec's broker
+// policy, skew or WAN bandwidth, then compiles and runs it on a fresh
+// engine.
 //
 // Data locality is first-class: a -skew fraction of each tenant's inputs
 // is placed on its home grid (homes rotate across members), cross-grid
@@ -33,6 +34,15 @@
 // capacity pressure, jobs whose entire replica set died (ErrReplicaLost)
 // and backed-off re-staging rounds.
 //
+// A shared grid is the one-grid case: -grids 1 -wan 0 runs a campaign
+// on one default-preset grid with local links. -fifo swaps every member
+// grid's fair-share UI gate for the tenancy-unaware strict FIFO, for
+// fairness comparisons, and -adapt arms the adaptive-granularity
+// feedback loop, retuning each tenant's batch size every period. Under
+// -v each run is followed by its per-grid table, then the per-tenant
+// makespan/overhead table with every adaptation decision and the
+// campaign totals.
+//
 // Whole worlds can come from declarative spec files instead of flags:
 // -scenario path.json compiles and runs one scenario (internal/scenario),
 // with the workload and storage flags acting as overrides of the spec,
@@ -43,6 +53,9 @@
 //
 //	federation                                  # sweep all policies, 4 grids × 16 tenants
 //	federation -grids 2 -tenants 8 -policies ranked,backlog
+//	federation -grids 1 -wan 0 -policies pinned:0 -tenants 8 -v
+//	federation -grids 1 -wan 0 -policies pinned:0 -tenants 8 -fifo -v
+//	federation -grids 1 -wan 0 -policies pinned:0 -tenants 4 -adapt 10m -v
 //	federation -policies ranked,ranked-blind -skew 1 -wan 0.5 -wanstreams 1
 //	federation -policies ranked,rr -outage grid01@2h+90m -rebroker 2
 //	federation -pairs 'grid00>grid01=1:10s,grid01>grid00=8:1s' -skew 1
@@ -72,8 +85,8 @@ import (
 	"repro/internal/sim"
 )
 
-// mixes is the optimization rotation across tenants, as in cmd/campaign;
-// tenant i of the flag-mode group runs mixOrder[i%4].
+// mixes is the optimization rotation across tenants: tenant i of the
+// flag-mode group runs mixOrder[i%4].
 var (
 	mixes = map[string]scenario.OptionsSpec{
 		"spdp":       {ServiceParallelism: true, DataParallelism: true},
@@ -84,137 +97,221 @@ var (
 	mixOrder = scenario.PolicyList{"spdp", "spdp-jg", "dp", "spdp-batch"}
 )
 
-func main() {
-	var (
-		grids        = flag.Int("grids", 4, "number of member grids in the federation")
-		tenants      = flag.Int("tenants", 16, "number of concurrent tenants")
-		servs        = flag.Int("services", 4, "pipeline stages per tenant workflow")
-		items        = flag.Int("items", 20, "input data items per tenant")
-		runtime      = flag.Duration("runtime", 2*time.Minute, "per-stage compute time")
-		fileMB       = flag.Float64("filemb", 5, "input/intermediate file size (MB)")
-		spread       = flag.Duration("spread", time.Minute, "arrival stagger between tenants")
-		seed         = flag.Uint64("seed", 1, "base random seed (grid i uses seed+i)")
-		rebroker     = flag.Int("rebroker", 1, "cross-grid resubmissions after terminal failure")
-		policies     = flag.String("policies", "ranked,backlog,rr,pinned:0", "comma-separated policies to sweep (ranked|ranked-blind|ranked-safe|backlog|rr|pinned:N)")
-		skew         = flag.Float64("skew", 0, "fraction of each tenant's inputs placed on its home grid (homes rotate across members)")
-		wan          = flag.Float64("wan", 2, "WAN bandwidth between member grids (MB/s; 0 keeps cross-grid staging free)")
-		wanLat       = flag.Duration("wanlat", 5*time.Second, "per-file WAN fetch setup latency")
-		wanStreams   = flag.Int("wanstreams", 0, "concurrent cross-grid fetches per ordered (from,to) grid pair (0 keeps the uncontended pure-delay WAN)")
-		outage       = flag.String("outage", "", "member-grid outage window, format name@start+duration (e.g. grid01@2h+90m; omit +duration for no recovery)")
-		seOutage     = flag.String("se-outage", "", "storage-only outage window (same format as -outage): the grid's storage elements go dark, its compute stays up")
-		seCap        = flag.Float64("se-cap", 0, "storage-element capacity per site (MB; 0 keeps elements unlimited)")
-		sePolicy     = flag.String("se-policy", "lru", "eviction policy of capacity-limited storage elements (lru|popularity)")
-		minRep       = flag.Int("minreplicas", 0, "replication floor k: files below k live replicas are repaired onto healthy grids (0 disables repair)")
-		pairs        = flag.String("pairs", "", "per-pair WAN link overrides, format from>to=MBps:latency[,...]; unlisted pairs fall back to -wan/-wanlat")
-		locality     = flag.Bool("locality", false, "run the locality sweep (replica skew × WAN bandwidth, aware vs blind vs backlog) instead of the policy sweep")
-		skews        = flag.String("skews", "0,0.5,1", "comma-separated skew values of the locality sweep")
-		wans         = flag.String("wans", "0.5,2,8", "comma-separated WAN bandwidths (MB/s) of the locality sweep")
-		scenarioPath = flag.String("scenario", "", "run one declarative scenario file; workload and storage flags become overrides of the spec")
-		scenariosPat = flag.String("scenarios", "", "run every scenario file matching the glob and print the library results table")
-		verbose      = flag.Bool("v", false, "print the per-grid dispatch and telemetry table per policy")
-	)
-	flag.Parse()
+// options is the parsed command line.
+type options struct {
+	grids, tenants, servs, items, rebroker, wanStreams, minRep int
+	runtime, spread, wanLat, adapt                             time.Duration
+	fileMB, skew, wan, seCap                                   float64
+	seed                                                       uint64
+	policies, outage, seOutage, sePolicy, pairs, skews, wans   string
+	scenarioPath, scenariosPat                                 string
+	fifo, locality, verbose                                    bool
 
-	if *scenariosPat != "" {
-		scenarioTable(*scenariosPat)
+	// set names the flags given on the command line; skewVals and
+	// wanVals are the locality-sweep axes, filled by spec.
+	set               map[string]bool
+	skewVals, wanVals []float64
+}
+
+// parse parses the command line. The flag package reports a bad flag on
+// stderr itself.
+func parse(args []string) (*options, error) {
+	o := &options{set: make(map[string]bool)}
+	fs := flag.NewFlagSet("federation", flag.ContinueOnError)
+	fs.IntVar(&o.grids, "grids", 4, "number of member grids in the federation")
+	fs.IntVar(&o.tenants, "tenants", 16, "number of concurrent tenants")
+	fs.IntVar(&o.servs, "services", 4, "pipeline stages per tenant workflow")
+	fs.IntVar(&o.items, "items", 20, "input data items per tenant")
+	fs.DurationVar(&o.runtime, "runtime", 2*time.Minute, "per-stage compute time")
+	fs.Float64Var(&o.fileMB, "filemb", 5, "input/intermediate file size (MB)")
+	fs.DurationVar(&o.spread, "spread", time.Minute, "arrival stagger between tenants")
+	fs.Uint64Var(&o.seed, "seed", 1, "base random seed (grid i uses seed+i)")
+	fs.BoolVar(&o.fifo, "fifo", false, "strict FIFO at every member grid's UI instead of the fair-share gate")
+	fs.DurationVar(&o.adapt, "adapt", 0, "adaptive-granularity retuning period (0 disables)")
+	fs.IntVar(&o.rebroker, "rebroker", 1, "cross-grid resubmissions after terminal failure")
+	fs.StringVar(&o.policies, "policies", "ranked,backlog,rr,pinned:0", "comma-separated policies to sweep (ranked|ranked-blind|ranked-safe|backlog|rr|pinned:N)")
+	fs.Float64Var(&o.skew, "skew", 0, "fraction of each tenant's inputs placed on its home grid (homes rotate across members)")
+	fs.Float64Var(&o.wan, "wan", 2, "WAN bandwidth between member grids (MB/s; 0 keeps cross-grid staging free)")
+	fs.DurationVar(&o.wanLat, "wanlat", 5*time.Second, "per-file WAN fetch setup latency")
+	fs.IntVar(&o.wanStreams, "wanstreams", 0, "concurrent cross-grid fetches per ordered (from,to) grid pair (0 keeps the uncontended pure-delay WAN)")
+	fs.StringVar(&o.outage, "outage", "", "member-grid outage window, format name@start+duration (e.g. grid01@2h+90m; omit +duration for no recovery)")
+	fs.StringVar(&o.seOutage, "se-outage", "", "storage-only outage window (same format as -outage): the grid's storage elements go dark, its compute stays up")
+	fs.Float64Var(&o.seCap, "se-cap", 0, "storage-element capacity per site (MB; 0 keeps elements unlimited)")
+	fs.StringVar(&o.sePolicy, "se-policy", "lru", "eviction policy of capacity-limited storage elements (lru|popularity)")
+	fs.IntVar(&o.minRep, "minreplicas", 0, "replication floor k: files below k live replicas are repaired onto healthy grids (0 disables repair)")
+	fs.StringVar(&o.pairs, "pairs", "", "per-pair WAN link overrides, format from>to=MBps:latency[,...]; unlisted pairs fall back to -wan/-wanlat")
+	fs.BoolVar(&o.locality, "locality", false, "run the locality sweep (replica skew × WAN bandwidth, aware vs blind vs backlog) instead of the policy sweep")
+	fs.StringVar(&o.skews, "skews", "0,0.5,1", "comma-separated skew values of the locality sweep")
+	fs.StringVar(&o.wans, "wans", "0.5,2,8", "comma-separated WAN bandwidths (MB/s) of the locality sweep")
+	fs.StringVar(&o.scenarioPath, "scenario", "", "run one declarative scenario file; workload and storage flags become overrides of the spec")
+	fs.StringVar(&o.scenariosPat, "scenarios", "", "run every scenario file matching the glob and print the library results table")
+	fs.BoolVar(&o.verbose, "v", false, "print the per-grid dispatch and telemetry table, then the per-tenant table, per run")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	fs.Visit(func(f *flag.Flag) { o.set[f.Name] = true })
+	return o, nil
+}
+
+func main() {
+	o, err := parse(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		os.Exit(2)
+	}
+	if o.scenariosPat != "" {
+		scenarioTable(o.scenariosPat)
 		return
 	}
+	spec, err := o.spec()
+	if err != nil {
+		exit(2, "%v", err)
+	}
+	switch {
+	case o.scenarioPath != "":
+		runScenario(spec, o.verbose)
+	case o.locality:
+		localitySweep(spec, o.wanLat, o.skewVals, o.wanVals)
+	default:
+		policySweep(spec, o.policies, o.wan, o.verbose)
+	}
+}
+
+// spec builds the world the command line describes: the -scenario file
+// with the flags applied as overrides, or else a spec synthesized from
+// the flags — member grids from scenario.HeterogeneousGrids and one
+// staggered tenant group rotating the option mixes. In flag mode it also
+// parses the locality-sweep axes. Every error is bad input.
+func (o *options) spec() (*scenario.Spec, error) {
 	var outages []scenario.OutageSpec
 	for _, fl := range []struct {
 		name, val string
 		storage   bool
-	}{{"outage", *outage, false}, {"se-outage", *seOutage, true}} {
+	}{{"outage", o.outage, false}, {"se-outage", o.seOutage, true}} {
 		if fl.val == "" {
 			continue
 		}
-		o, err := scenario.ParseOutage(fl.val)
+		out, err := scenario.ParseOutage(fl.val)
 		if err != nil {
-			exit(2, "-%s: %v", fl.name, err)
+			return nil, fmt.Errorf("-%s: %w", fl.name, err)
 		}
-		o.Storage = fl.storage
-		outages = append(outages, o)
+		out.Storage = fl.storage
+		outages = append(outages, out)
 	}
-	if *scenarioPath != "" {
-		set := make(map[string]bool)
-		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		for _, name := range []string{"grids", "wan", "wanlat", "pairs", "locality", "skews", "wans"} {
-			if set[name] {
-				exit(2, "-%s cannot override a scenario; edit the spec's grids/links sections instead", name)
+	if o.scenarioPath != "" {
+		for _, name := range []string{"grids", "wan", "wanlat", "pairs", "locality", "skews", "wans", "fifo", "adapt"} {
+			if o.set[name] {
+				return nil, fmt.Errorf("-%s cannot override a scenario; edit the spec instead", name)
 			}
 		}
-		if set["policies"] && strings.Contains(*policies, ",") {
-			exit(2, "-policies with -scenario overrides the broker policy and takes exactly one name")
+		if o.set["policies"] && strings.Contains(o.policies, ",") {
+			return nil, errors.New("-policies with -scenario overrides the broker policy and takes exactly one name")
+		}
+		spec, err := scenario.Load(o.scenarioPath)
+		if err != nil {
+			return nil, err
 		}
 		ov := scenario.Overrides{
-			Seed:         ifSet(set, "seed", seed),
-			Policy:       ifSet(set, "policies", policies),
-			WANStreams:   ifSet(set, "wanstreams", wanStreams),
-			Rebroker:     ifSet(set, "rebroker", rebroker),
-			SECapacityMB: ifSet(set, "se-cap", seCap),
-			SEEviction:   ifSet(set, "se-policy", sePolicy),
-			MinReplicas:  ifSet(set, "minreplicas", minRep),
+			Seed:         ifSet(o.set, "seed", &o.seed),
+			Policy:       ifSet(o.set, "policies", &o.policies),
+			WANStreams:   ifSet(o.set, "wanstreams", &o.wanStreams),
+			Rebroker:     ifSet(o.set, "rebroker", &o.rebroker),
+			SECapacityMB: ifSet(o.set, "se-cap", &o.seCap),
+			SEEviction:   ifSet(o.set, "se-policy", &o.sePolicy),
+			MinReplicas:  ifSet(o.set, "minreplicas", &o.minRep),
 			Outages:      outages,
-			Tenants:      ifSet(set, "tenants", tenants),
-			Stages:       ifSet(set, "services", servs),
-			Items:        ifSet(set, "items", items),
-			Runtime:      ifSet(set, "runtime", runtime),
-			Skew:         ifSet(set, "skew", skew),
-			FileMB:       ifSet(set, "filemb", fileMB),
-			Spread:       ifSet(set, "spread", spread),
+			Tenants:      ifSet(o.set, "tenants", &o.tenants),
+			Stages:       ifSet(o.set, "services", &o.servs),
+			Items:        ifSet(o.set, "items", &o.items),
+			Runtime:      ifSet(o.set, "runtime", &o.runtime),
+			Skew:         ifSet(o.set, "skew", &o.skew),
+			FileMB:       ifSet(o.set, "filemb", &o.fileMB),
+			Spread:       ifSet(o.set, "spread", &o.spread),
 		}
-		runScenario(*scenarioPath, ov, *verbose)
-		return
+		if err := ov.Apply(spec); err != nil {
+			return nil, err
+		}
+		return spec, nil
 	}
 
-	// Flag mode: synthesize the world as a spec.
-	if *tenants < 1 {
-		exit(2, "-tenants must be positive, got %d", *tenants)
+	// Flag mode. The spec would silently read a zero seed as 1 and a
+	// zero tenant count as one tenant.
+	switch {
+	case o.grids < 1:
+		return nil, fmt.Errorf("-grids must be positive, got %d", o.grids)
+	case o.tenants < 1:
+		return nil, fmt.Errorf("-tenants must be positive, got %d", o.tenants)
+	case o.seed == 0:
+		return nil, errors.New("-seed must be positive (grid i seeds at seed+i, and a spec seed of 0 means 1)")
+	case o.wan < 0:
+		return nil, fmt.Errorf("-wan must not be negative, got %v", o.wan)
+	case o.adapt < 0:
+		return nil, fmt.Errorf("-adapt must not be negative, got %v", o.adapt)
 	}
-	if *seed == 0 {
-		exit(2, "-seed must be positive (grid i seeds at seed+i, and a spec seed of 0 means 1)")
+	var err error
+	if o.skewVals, err = scenario.ParseFloats(o.skews); err != nil {
+		return nil, fmt.Errorf("-skews: %w", err)
+	}
+	for _, v := range o.skewVals {
+		if v < 0 || v > 1 {
+			return nil, fmt.Errorf("-skews: %v outside [0, 1]", v)
+		}
+	}
+	if o.wanVals, err = scenario.ParseFloats(o.wans); err != nil {
+		return nil, fmt.Errorf("-wans: %w", err)
+	}
+	for _, v := range o.wanVals {
+		if v < 0 {
+			return nil, fmt.Errorf("-wans: negative bandwidth %v", v)
+		}
 	}
 	links := &scenario.LinksSpec{}
-	if *pairs != "" {
-		ps, err := scenario.ParsePairs(*pairs)
+	if o.pairs != "" {
+		ps, err := scenario.ParsePairs(o.pairs)
 		if err != nil {
-			exit(2, "-pairs: %v", err)
+			return nil, fmt.Errorf("-pairs: %w", err)
 		}
 		links.Pairs = ps
 	}
-	setWAN(links, *wan, *wanLat)
+	setWAN(links, o.wan, o.wanLat)
+	group := scenario.TenantGroup{
+		Count:    o.tenants,
+		Prefix:   "t",
+		Policy:   mixOrder,
+		Arrivals: &scenario.ArrivalSpec{Kind: "staggered", Spread: scenario.Duration(o.spread)},
+		Workload: scenario.WorkloadSpec{
+			Stages:  o.servs,
+			Items:   o.items,
+			Runtime: scenario.Duration(o.runtime),
+			Sizes:   scenario.SizeSpec{Kind: "constant", MeanMB: o.fileMB},
+			Skew:    o.skew,
+		},
+	}
+	if o.adapt > 0 {
+		group.Adapt = &scenario.AdaptSpec{Interval: scenario.Duration(o.adapt), MaxBatch: o.items}
+	}
 	spec := &scenario.Spec{
 		Name:       "flags",
-		Seed:       *seed,
-		Grids:      scenario.HeterogeneousGrids(*grids, *seed),
+		Seed:       o.seed,
+		Grids:      scenario.HeterogeneousGrids(o.grids, o.seed),
 		Links:      links,
-		WANStreams: *wanStreams,
+		WANStreams: o.wanStreams,
 		Outages:    outages,
-		Storage:    &scenario.StorageSpec{CapacityMB: *seCap, Eviction: *sePolicy, MinReplicas: *minRep},
-		Broker:     &scenario.BrokerSpec{Rebroker: *rebroker},
+		Storage:    &scenario.StorageSpec{CapacityMB: o.seCap, Eviction: o.sePolicy, MinReplicas: o.minRep},
+		Broker:     &scenario.BrokerSpec{Rebroker: o.rebroker},
 		Policies:   mixes,
-		Tenants: []scenario.TenantGroup{{
-			Count:    *tenants,
-			Prefix:   "t",
-			Policy:   mixOrder,
-			Arrivals: &scenario.ArrivalSpec{Kind: "staggered", Spread: scenario.Duration(*spread)},
-			Workload: scenario.WorkloadSpec{
-				Stages:  *servs,
-				Items:   *items,
-				Runtime: scenario.Duration(*runtime),
-				Sizes:   scenario.SizeSpec{Kind: "constant", MeanMB: *fileMB},
-				Skew:    *skew,
-			},
-		}},
+		Tenants:    []scenario.TenantGroup{group},
+	}
+	for i := range spec.Grids {
+		spec.Grids[i].StrictFIFO = o.fifo
 	}
 	spec.Tenants[0].Workload.Homes = spec.GridNames()
 	if err := spec.Validate(); err != nil {
-		exit(2, "%v", err)
+		return nil, err
 	}
-	if *locality {
-		localitySweep(spec, *wanLat, *skews, *wans)
-		return
-	}
-	policySweep(spec, *policies, *wan, *verbose)
+	return spec, nil
 }
 
 // ifSet returns the flag's value pointer when the flag was set on the
@@ -233,11 +330,10 @@ func exit(code int, format string, args ...any) {
 	os.Exit(code)
 }
 
-// setWAN prices the spec's cross-grid class link. A non-positive
-// bandwidth means free staging regardless of the latency — a
-// latency-only WAN is not expressible from the CLI: local links, or,
-// under a -pairs matrix, zero class links, which price unlisted pairs as
-// local.
+// setWAN prices the spec's cross-grid class link. A zero bandwidth means
+// free staging regardless of the latency — a latency-only WAN is not
+// expressible from the CLI: local links, or, under a -pairs matrix, zero
+// class links, which price unlisted pairs as local.
 func setWAN(l *scenario.LinksSpec, mbps float64, lat time.Duration) {
 	l.Local = mbps <= 0 && len(l.Pairs) == 0
 	l.WANMBps, l.WANLatency = 0, 0
@@ -280,7 +376,7 @@ func policySweep(spec *scenario.Spec, policies string, wan float64, verbose bool
 		rep, fed := run(spec)
 		row(fed.Policy().Name(), 16, rep, fed)
 		if verbose {
-			printVerbose(fed)
+			printVerbose(rep, fed)
 		}
 	}
 }
@@ -308,15 +404,8 @@ func banner(spec *scenario.Spec) {
 	fmt.Println()
 }
 
-// runScenario compiles and runs one spec file with CLI overrides applied.
-func runScenario(path string, ov scenario.Overrides, verbose bool) {
-	spec, err := scenario.Load(path)
-	if err != nil {
-		exit(2, "%v", err)
-	}
-	if err := ov.Apply(spec); err != nil {
-		exit(2, "%v", err)
-	}
+// runScenario runs one loaded scenario and prints its results row.
+func runScenario(spec *scenario.Spec, verbose bool) {
 	rep, fed := run(spec)
 	if spec.Description != "" {
 		fmt.Printf("scenario %s: %s\n", spec.Name, spec.Description)
@@ -327,7 +416,7 @@ func runScenario(path string, ov scenario.Overrides, verbose bool) {
 	header("scenario", 20)
 	row(spec.Name, 20, rep, fed)
 	if verbose {
-		printVerbose(fed)
+		printVerbose(rep, fed)
 	}
 }
 
@@ -417,8 +506,9 @@ func row(label string, width int, rep *campaign.Report, fed *federation.Federati
 		s.wanWait.Round(time.Second), s.evictedMB, s.lost, s.restage, s.used, fed.Size())
 }
 
-// printVerbose prints the per-grid telemetry, fabric and storage tables.
-func printVerbose(fed *federation.Federation) {
+// printVerbose prints the per-grid telemetry, fabric and storage tables,
+// then the per-tenant table.
+func printVerbose(rep *campaign.Report, fed *federation.Federation) {
 	for i := 0; i < fed.Size(); i++ {
 		tl := fed.Telemetry(i)
 		fmt.Printf("    %-8s dispatched=%-5d observed=%-5d rebrokered=%-3d submitEWMA=%-8v queueEWMA=%-8v stretch=%-6.2f wan_mb=%-8.0f wan_wait=%-8v restages=%d\n",
@@ -447,6 +537,33 @@ func printVerbose(fed *federation.Federation) {
 	if f := fed.Repairs(); f > 0 {
 		fmt.Printf("    repairs=%d repaired_mb=%.0f\n", f, fed.RepairedMB())
 	}
+	printTenants(rep)
+}
+
+// printTenants prints the per-tenant makespan/overhead table with every
+// adaptation decision, then the campaign totals, set off by blank lines.
+func printTenants(rep *campaign.Report) {
+	fmt.Printf("\n%-16s %10s %12s %6s %12s %12s %10s\n",
+		"tenant", "arrival", "makespan", "jobs", "ovh mean", "ovh p90", "resubmits")
+	for _, tr := range rep.Tenants {
+		if tr.Err != nil {
+			fmt.Printf("%-16s %10s %12s  FAILED: %v\n", tr.Name, tr.Arrival, "-", tr.Err)
+			continue
+		}
+		fmt.Printf("%-16s %10v %12v %6d %12v %12v %10d\n",
+			tr.Name, tr.Arrival, tr.Makespan.Round(time.Second),
+			tr.Overheads.Jobs+tr.Overheads.Failed,
+			tr.Overheads.Mean.Round(time.Second), tr.Overheads.P90.Round(time.Second),
+			tr.Overheads.Resubmits)
+		for _, a := range tr.Adaptations {
+			fmt.Printf("    adapt @%v: batch=%d predicted=%v observed-overhead=%v\n",
+				a.At.Round(time.Second), a.Batch,
+				a.Predicted.Round(time.Second), a.Overhead.Round(time.Second))
+		}
+	}
+	fmt.Printf("\ncampaign span %v\n", rep.Makespan.Round(time.Second))
+	fmt.Printf("global: %s\n", rep.Global)
+	fmt.Printf("phases: %s\n\n", rep.GlobalPhases)
 }
 
 // localitySweep maps campaign span/p95 and WAN traffic over replica skew ×
@@ -454,15 +571,7 @@ func printVerbose(fed *federation.Federation) {
 // control and least-backlog. A -pairs matrix survives the sweep: its
 // listed pairs stay fixed while the swept bandwidth replaces only the
 // class link of unlisted pairs.
-func localitySweep(spec *scenario.Spec, wanLat time.Duration, skews, wans string) {
-	skewVals, err := scenario.ParseFloats(skews)
-	if err != nil {
-		exit(2, "-skews: %v", err)
-	}
-	wanVals, err := scenario.ParseFloats(wans)
-	if err != nil {
-		exit(2, "-wans: %v", err)
-	}
+func localitySweep(spec *scenario.Spec, wanLat time.Duration, skewVals, wanVals []float64) {
 	g := &spec.Tenants[0]
 	fmt.Printf("locality sweep: %d tenants × %d-stage chains × %d items over %d heterogeneous grids (seed %d, wanlat %v, streams %d)\n",
 		g.Count, g.Workload.Stages, g.Workload.Items, len(spec.Grids), spec.Seed, wanLat, spec.WANStreams)

@@ -70,13 +70,12 @@ func TestCampaignSingleTenantMatchesSoloRun(t *testing.T) {
 		t.Fatal(tr.Err)
 	}
 
-	eng := sim.NewEngine()
-	g := grid.New(eng, testGrid(16))
-	wf, inputs, err := build(g.Tenant("solo"))
+	th := oneGrid(t, testGrid(16)).Tenant("solo")
+	wf, inputs, err := build(th)
 	if err != nil {
 		t.Fatal(err)
 	}
-	en, err := core.New(eng, wf, spdp())
+	en, err := core.New(th.Engine(), wf, spdp())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,13 +380,12 @@ func TestRunOnAdvancedEngine(t *testing.T) {
 // must not poison the run (a quiescence check before Start used to
 // declare it done).
 func TestSetDataGroupSizeBeforeStart(t *testing.T) {
-	eng := sim.NewEngine()
-	g := grid.New(eng, testGrid(16))
-	wf, inputs, err := SyntheticChain(2, 6, 10*time.Second, 1)(g.Tenant("pre"))
+	th := oneGrid(t, testGrid(16)).Tenant("pre")
+	wf, inputs, err := SyntheticChain(2, 6, 10*time.Second, 1)(th)
 	if err != nil {
 		t.Fatal(err)
 	}
-	en, err := core.New(eng, wf, core.Options{
+	en, err := core.New(th.Engine(), wf, core.Options{
 		DataParallelism:    true,
 		ServiceParallelism: true,
 		DataGroupWindow:    time.Minute,
@@ -403,8 +401,8 @@ func TestSetDataGroupSizeBeforeStart(t *testing.T) {
 	if got := len(res.Outputs["sink"]); got != 6 {
 		t.Fatalf("sink items = %d, want 6", got)
 	}
-	if len(g.Records()) >= 12 {
-		t.Fatalf("pre-start batch size had no effect: %d jobs for 12 invocations", len(g.Records()))
+	if len(th.Records()) >= 12 {
+		t.Fatalf("pre-start batch size had no effect: %d jobs for 12 invocations", len(th.Records()))
 	}
 }
 

@@ -35,57 +35,19 @@ func SyntheticChain(n, items int, runtime time.Duration, fileMB float64) BuildFu
 // scenarios: sweeping skew against WAN bandwidth maps out when
 // data-aware brokering pays.
 func SyntheticChainPlaced(n, items int, runtime time.Duration, fileMB float64, home grid.Site, skew float64) BuildFunc {
-	return func(t Handle) (*workflow.Workflow, map[string][]string, error) {
-		if n < 1 || items < 1 {
-			return nil, nil, fmt.Errorf("campaign: synthetic chain needs at least one stage and one item")
-		}
-		if skew < 0 || skew > 1 {
-			return nil, nil, fmt.Errorf("campaign: placement skew %v outside [0, 1]", skew)
-		}
-		tn := t.Name()
-		wf := workflow.New(tn)
-		wf.AddSource("src")
-		prev, prevPort := "src", workflow.SourcePort
-		for s := 0; s < n; s++ {
-			name := fmt.Sprintf("%s.stage%02d", tn, s)
-			d, err := stageDescriptor(name)
-			if err != nil {
-				return nil, nil, err
-			}
-			w, err := services.NewWrapper(t, d, services.ConstantRuntime(runtime),
-				map[string]float64{"out": fileMB})
-			if err != nil {
-				return nil, nil, err
-			}
-			wf.AddService(name, w, []string{"in"}, []string{"out"})
-			wf.Connect(prev, prevPort, name, "in")
-			prev, prevPort = name, "out"
-		}
-		wf.AddSink("sink")
-		wf.Connect(prev, prevPort, "sink", workflow.SinkPort)
-
-		placed := int(math.Ceil(skew * float64(items)))
-		inputs := make([]string, items)
-		for i := range inputs {
-			gfn := fmt.Sprintf("gfn://%s/input%04d", tn, i)
-			if i < placed && !home.IsZero() {
-				t.Catalog().RegisterAt(gfn, fileMB, home)
-			} else {
-				t.Catalog().Register(gfn, fileMB)
-			}
-			inputs[i] = gfn
-		}
-		return wf, map[string][]string{"src": inputs}, nil
+	sizes := make([]float64, max(items, 0))
+	for i := range sizes {
+		sizes[i] = fileMB
 	}
+	return SyntheticChainSized(n, sizes, runtime, fileMB, home, skew)
 }
 
 // SyntheticChainSized generalizes SyntheticChainPlaced to a
-// heterogeneous input corpus: input i is registered at len(sizes[i]) MB
+// heterogeneous input corpus: input i is registered at sizes[i] MB
 // (heavy-tailed corpora drawn by a scenario generator), while every
 // stage output is a uniform outMB. Placement skew works as in
 // SyntheticChainPlaced: the first ⌈skew×len(sizes)⌉ inputs are pinned at
-// home. With every size equal to outMB it is exactly
-// SyntheticChainPlaced(n, len(sizes), runtime, outMB, home, skew).
+// home. SyntheticChainPlaced is the case of every size equal to outMB.
 func SyntheticChainSized(n int, sizes []float64, runtime time.Duration, outMB float64, home grid.Site, skew float64) BuildFunc {
 	return func(t Handle) (*workflow.Workflow, map[string][]string, error) {
 		if n < 1 || len(sizes) < 1 {

@@ -585,7 +585,7 @@ func (f *Federation) pick(spec grid.JobSpec, exclude int) int {
 // as a fresh job.
 func (f *Federation) dispatch(tenant string, spec grid.JobSpec, done func(*grid.JobRecord), idx, retries int) *grid.JobRecord {
 	f.telem[idx].Dispatched++
-	rec := f.grids[idx].Tenant(tenant).Submit(spec, func(r *grid.JobRecord) {
+	rec := f.grids[idx].SubmitAs(tenant, spec, func(r *grid.JobRecord) {
 		f.observe(idx, r)
 		if r.Status == grid.StatusFailed && retries > 0 && len(f.grids) > 1 && rebrokerable(r) {
 			f.telem[idx].Rebrokered++
@@ -648,14 +648,14 @@ func ewma(prev, obs time.Duration, alpha float64) time.Duration {
 	return time.Duration(alpha*float64(obs) + (1-alpha)*float64(prev))
 }
 
-// Tenant is a named submission handle on a federation: the multi-grid
-// analogue of grid.Tenant. Jobs submitted through it are brokered across
-// the member grids and tagged with the tenant's name on whichever grid
-// they land, so the tenant's accounting spans grids while each member
-// grid's fair-share gate still sees the tenant individually. Handles are
-// memoized: Federation.Tenant returns the same *Tenant for the same name,
-// so handle identity stands in for tenant identity (services.Grouped
-// relies on this).
+// Tenant is a named submission handle on a federation, the unit of
+// multi-tenancy. Jobs submitted through it are brokered across the member
+// grids and tagged with the tenant's name on whichever grid they land
+// (grid.Grid.SubmitAs), so the tenant's accounting spans grids while
+// each member grid's fair-share gate still sees the tenant individually.
+// Handles are memoized: Federation.Tenant returns the same *Tenant for
+// the same name, so handle identity stands in for tenant identity
+// (services.Grouped relies on this).
 type Tenant struct {
 	f    *Federation
 	name string

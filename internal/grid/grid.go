@@ -220,7 +220,6 @@ type Grid struct {
 	rnd      *rng.Source
 	records  []*JobRecord
 	nextID   int
-	tenants  map[string]*Tenant
 
 	// recs arena-allocates the job records (chunked, so records stay
 	// valid for the grid's lifetime without one heap object per job);
@@ -231,9 +230,10 @@ type Grid struct {
 	freeRuns []*jobRun
 
 	// Fair-share submission gate in front of the serialized UI: one queue
-	// per tenant, drained round-robin (see pumpSubmits).
+	// per tenant (one in all under StrictFIFOSubmit), drained round-robin
+	// (see pumpSubmits).
 	subQueues  map[string]*submitQueue
-	subRing    []string // tenants in first-submission order
+	subRing    []string // queue keys in first-submission order
 	subRR      int      // next ring slot to serve
 	subServed  int      // submissions served to slot subRR this round
 	subPending int      // accepted, UI latency not yet paid
@@ -276,7 +276,6 @@ func NewWithCatalog(eng *sim.Engine, cfg Config, cat *Catalog) *Grid {
 		broker:    sim.NewResource(eng, cfg.BrokerSlots),
 		catalog:   cat,
 		rnd:       rng.New(cfg.Seed),
-		tenants:   make(map[string]*Tenant),
 		subQueues: make(map[string]*submitQueue),
 	}
 	// The catalog needs the engine clock for storage access-recency
@@ -295,7 +294,7 @@ func NewWithCatalog(eng *sim.Engine, cfg Config, cat *Catalog) *Grid {
 // Catalog returns the grid's replica catalog (possibly shared with other
 // grids of a federation — see NewWithCatalog). Together with Submit it
 // makes *Grid satisfy services.Submitter, so single-workflow code passes
-// the grid where campaigns pass a tenant handle.
+// the grid where campaigns pass a *federation.Tenant.
 func (g *Grid) Catalog() *Catalog { return g.catalog }
 
 // Name returns the grid's configured name — the Site.Grid component of

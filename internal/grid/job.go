@@ -110,8 +110,8 @@ func (s JobStatus) String() string {
 // progresses. All times are virtual.
 type JobRecord struct {
 	ID int
-	// Tenant names the submission handle the job came through (empty for
-	// jobs submitted directly via Grid.Submit). Per-tenant statistics
+	// Tenant names the tenant the job was submitted as (Grid.SubmitAs;
+	// empty for jobs submitted via Grid.Submit). Per-tenant statistics
 	// filter the global record set on this tag.
 	Tenant string
 	// Grid names the grid the job was submitted to (Config.Name; empty
@@ -201,17 +201,10 @@ var ErrGridDown = errors.New("grid: grid is down")
 // as lost from every other grid.
 var ErrReplicaLost = errors.New("grid: every replica of an input is lost or unreachable")
 
-// Submit enters a job into the grid under the default (anonymous) tenant.
-// done is invoked exactly once, in virtual time, when the job reaches a
-// terminal state. Resubmission after failure is transparent: done only
-// sees the final outcome.
-//
-// Submit is asynchronous and returns the job's record immediately, so
-// callers can observe progress. To tag submissions for per-tenant
-// accounting and fair-share scheduling, submit through a Tenant handle
-// instead.
+// Submit enters a job into the grid under the default (anonymous) tenant:
+// it is SubmitAs with the empty tenant name.
 func (g *Grid) Submit(spec JobSpec, done func(*JobRecord)) *JobRecord {
-	return g.submit("", spec, done)
+	return g.SubmitAs("", spec, done)
 }
 
 // pendingSubmit is one submission waiting at the fair-share gate in front
@@ -233,8 +226,6 @@ func (q *submitQueue) len() int { return len(q.buf) - q.head }
 
 func (q *submitQueue) push(ps pendingSubmit) { q.buf = append(q.buf, ps) }
 
-func (q *submitQueue) peek() pendingSubmit { return q.buf[q.head] }
-
 func (q *submitQueue) pop() pendingSubmit {
 	ps := q.buf[q.head]
 	q.buf[q.head] = pendingSubmit{}
@@ -251,7 +242,16 @@ func (q *submitQueue) pop() pendingSubmit {
 	return ps
 }
 
-func (g *Grid) submit(tenant string, spec JobSpec, done func(*JobRecord)) *JobRecord {
+// SubmitAs enters a job into the grid tagged with the named tenant
+// (JobRecord.Tenant), the unit of multi-tenancy: the fair-share gate at
+// the serialized UI drains tenants round-robin, so no tenant's burst
+// starves the others. done is invoked exactly once, in virtual time, when
+// the job reaches a terminal state. Resubmission after failure is
+// transparent: done only sees the final outcome.
+//
+// SubmitAs is asynchronous and returns the job's record immediately, so
+// callers can observe progress.
+func (g *Grid) SubmitAs(tenant string, spec JobSpec, done func(*JobRecord)) *JobRecord {
 	if done == nil {
 		panic("grid: Submit with nil completion callback")
 	}
@@ -266,14 +266,21 @@ func (g *Grid) submit(tenant string, spec JobSpec, done func(*JobRecord)) *JobRe
 	}
 	g.nextID++
 	g.records = append(g.records, rec)
-	q, ok := g.subQueues[tenant]
+	// Under StrictFIFOSubmit every submission waits in the one queue of
+	// the empty key, so the round-robin gate below pops them in global
+	// arrival order.
+	key := tenant
+	if g.cfg.StrictFIFOSubmit {
+		key = ""
+	}
+	q, ok := g.subQueues[key]
 	if !ok {
-		// First submission ever from this tenant: join the round-robin
+		// First submission ever under this key: join the round-robin
 		// ring. Drained queues stay in the map so the ring has no
 		// duplicates.
 		q = &submitQueue{}
-		g.subQueues[tenant] = q
-		g.subRing = append(g.subRing, tenant)
+		g.subQueues[key] = q
+		g.subRing = append(g.subRing, key)
 	}
 	q.push(pendingSubmit{g.newRun(rec, done)})
 	g.subPending++
@@ -291,44 +298,34 @@ func (g *Grid) submit(tenant string, spec JobSpec, done func(*JobRecord)) *JobRe
 // weight 1 everywhere the drain order is the historical one exactly).
 // With a single tenant the gate degenerates to the plain FIFO of a
 // tenancy-unaware UI; Config.StrictFIFOSubmit restores that global FIFO
-// even across tenants, for fairness comparisons.
+// even across tenants, for fairness comparisons, by queueing every
+// submission under one key (see SubmitAs).
 func (g *Grid) pumpSubmits() {
 	if g.uiBusy {
 		return
 	}
-	pick := -1 // index into subRing of the tenant to serve
-	if g.cfg.StrictFIFOSubmit {
-		bestID := -1
-		for i, tn := range g.subRing {
-			if q := g.subQueues[tn]; q.len() > 0 && (bestID < 0 || q.peek().run.rec.ID < bestID) {
-				bestID, pick = q.peek().run.rec.ID, i
-			}
-		}
-	} else {
-		n := len(g.subRing)
-		for i := 0; i < n; i++ {
-			idx := (g.subRR + i) % n
-			if g.subQueues[g.subRing[idx]].len() > 0 {
-				pick = idx
-				break
-			}
+	pick := -1 // index into subRing of the queue to serve
+	n := len(g.subRing)
+	for i := 0; i < n; i++ {
+		idx := (g.subRR + i) % n
+		if g.subQueues[g.subRing[idx]].len() > 0 {
+			pick = idx
+			break
 		}
 	}
 	if pick < 0 {
 		return
 	}
 	ps := g.subQueues[g.subRing[pick]].pop()
-	if !g.cfg.StrictFIFOSubmit {
-		if pick != g.subRR {
-			// The ring moved past empty queues: the served counter belongs
-			// to the newly-current slot.
-			g.subRR, g.subServed = pick, 0
-		}
-		g.subServed++
-		if g.subServed >= g.tenantWeight(g.subRing[pick]) {
-			g.subRR = (pick + 1) % len(g.subRing)
-			g.subServed = 0
-		}
+	if pick != g.subRR {
+		// The ring moved past empty queues: the served counter belongs
+		// to the newly-current slot.
+		g.subRR, g.subServed = pick, 0
+	}
+	g.subServed++
+	if g.subServed >= g.tenantWeight(g.subRing[pick]) {
+		g.subRR = (pick + 1) % n
+		g.subServed = 0
 	}
 
 	// One job at a time pays the submit latency, inflated by the

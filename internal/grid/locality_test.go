@@ -315,10 +315,10 @@ func TestWeightedFairShare(t *testing.T) {
 	eng := sim.NewEngine()
 	g := New(eng, cfg)
 	for i := 0; i < 12; i++ {
-		g.Tenant("a").Submit(JobSpec{Name: fmt.Sprintf("a%d", i), Runtime: time.Second}, func(*JobRecord) {})
+		g.SubmitAs("a", JobSpec{Name: fmt.Sprintf("a%d", i), Runtime: time.Second}, func(*JobRecord) {})
 	}
 	for i := 0; i < 6; i++ {
-		g.Tenant("b").Submit(JobSpec{Name: fmt.Sprintf("b%d", i), Runtime: time.Second}, func(*JobRecord) {})
+		g.SubmitAs("b", JobSpec{Name: fmt.Sprintf("b%d", i), Runtime: time.Second}, func(*JobRecord) {})
 	}
 	eng.Run()
 
@@ -354,8 +354,8 @@ func TestWeightedFairShareDefaultUnchanged(t *testing.T) {
 		eng := sim.NewEngine()
 		g := New(eng, cfg)
 		for i := 0; i < 9; i++ {
-			g.Tenant("a").Submit(JobSpec{Runtime: time.Second}, func(*JobRecord) {})
-			g.Tenant("b").Submit(JobSpec{Runtime: time.Second}, func(*JobRecord) {})
+			g.SubmitAs("a", JobSpec{Runtime: time.Second}, func(*JobRecord) {})
+			g.SubmitAs("b", JobSpec{Runtime: time.Second}, func(*JobRecord) {})
 		}
 		eng.Run()
 		var acc []sim.Time

@@ -219,22 +219,18 @@ func TestDefaultConfigSaturation(t *testing.T) {
 }
 
 // TestTenantStatsIsolationOnGrid exercises the tenancy accounting at the
-// grid level: handles are memoized, and every record carries exactly one
-// tenant tag, so the tags partition the grid's records (the per-tenant
+// grid level: every record carries exactly one tenant tag, so the tags
+// partition the grid's records (the per-tenant
 // statistics a federation derives from them are pinned by the federation
 // partition test).
 func TestTenantStatsIsolationOnGrid(t *testing.T) {
 	eng := sim.NewEngine()
 	g := New(eng, quiet(8))
-	ta, tb := g.Tenant("a"), g.Tenant("b")
-	if g.Tenant("a") != ta {
-		t.Fatal("tenant handles not memoized")
-	}
 	for i := 0; i < 5; i++ {
-		ta.Submit(JobSpec{Runtime: time.Minute}, func(*JobRecord) {})
+		g.SubmitAs("a", JobSpec{Runtime: time.Minute}, func(*JobRecord) {})
 	}
 	for i := 0; i < 3; i++ {
-		tb.Submit(JobSpec{Runtime: time.Minute}, func(*JobRecord) {})
+		g.SubmitAs("b", JobSpec{Runtime: time.Minute}, func(*JobRecord) {})
 	}
 	g.Submit(JobSpec{Runtime: time.Minute}, func(*JobRecord) {}) // default tenant
 	eng.Run()
@@ -257,13 +253,12 @@ func TestTenantStatsIsolationOnGrid(t *testing.T) {
 func TestFairShareGateInterleavesTenants(t *testing.T) {
 	eng := sim.NewEngine()
 	g := New(eng, quiet(64)) // 2s deterministic submit latency
-	burst, single := g.Tenant("burst"), g.Tenant("single")
 	for i := 0; i < 50; i++ {
-		burst.Submit(JobSpec{Runtime: time.Second}, func(*JobRecord) {})
+		g.SubmitAs("burst", JobSpec{Runtime: time.Second}, func(*JobRecord) {})
 	}
 	var rec *JobRecord
 	eng.Schedule(time.Second, func() {
-		rec = single.Submit(JobSpec{Runtime: time.Second}, func(*JobRecord) {})
+		rec = g.SubmitAs("single", JobSpec{Runtime: time.Second}, func(*JobRecord) {})
 	})
 	eng.Run()
 	// Arrival at t=1s with one burst submission in service until t=2s and
@@ -280,13 +275,12 @@ func TestFairShareGateInterleavesTenants(t *testing.T) {
 	cfg := quiet(64)
 	cfg.StrictFIFOSubmit = true
 	g2 := New(eng2, cfg)
-	b2, s2 := g2.Tenant("burst"), g2.Tenant("single")
 	for i := 0; i < 50; i++ {
-		b2.Submit(JobSpec{Runtime: time.Second}, func(*JobRecord) {})
+		g2.SubmitAs("burst", JobSpec{Runtime: time.Second}, func(*JobRecord) {})
 	}
 	var rec2 *JobRecord
 	eng2.Schedule(time.Second, func() {
-		rec2 = s2.Submit(JobSpec{Runtime: time.Second}, func(*JobRecord) {})
+		rec2 = g2.SubmitAs("single", JobSpec{Runtime: time.Second}, func(*JobRecord) {})
 	})
 	eng2.Run()
 	if got, want := rec2.Accepted, sim.Time(102*time.Second); got != want {

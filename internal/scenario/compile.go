@@ -362,22 +362,26 @@ func (o OptionsSpec) options() core.Options {
 }
 
 // build compiles one tenant's workload into a campaign builder. A
-// degenerate (constant) size distribution compiles to the exact
-// SyntheticChainPlaced builder of the hand-assembled scenario suites —
-// the spec↔code equivalence the tests pin bit-for-bit — while generative
-// distributions pre-draw the corpus from the tenant's own stream and
-// compile to the sized chain.
+// degenerate (constant) size distribution whose outputs match its inputs
+// fills the corpus with that size — the SyntheticChainPlaced builder of
+// the hand-assembled scenario suites, the spec↔code equivalence the tests
+// pin bit-for-bit — while every other distribution pre-draws the corpus
+// from the tenant's own stream.
 func (w WorkloadSpec) build(r *rng.Source, home grid.Site) (campaign.BuildFunc, error) {
-	if c, ok := w.Sizes.constant(); ok && (w.OutputMB == 0 || w.OutputMB == c) {
-		return campaign.SyntheticChainPlaced(w.Stages, w.Items, w.Runtime.D(), c, home, w.Skew), nil
-	}
 	sizes := make([]float64, w.Items)
-	for i := range sizes {
-		sizes[i] = w.Sizes.Draw(r)
-	}
 	outMB := w.OutputMB
-	if outMB == 0 {
-		outMB = w.Sizes.mean()
+	if c, ok := w.Sizes.constant(); ok && (outMB == 0 || outMB == c) {
+		for i := range sizes {
+			sizes[i] = c
+		}
+		outMB = c
+	} else {
+		for i := range sizes {
+			sizes[i] = w.Sizes.Draw(r)
+		}
+		if outMB == 0 {
+			outMB = w.Sizes.mean()
+		}
 	}
 	return campaign.SyntheticChainSized(w.Stages, sizes, w.Runtime.D(), outMB, home, w.Skew), nil
 }

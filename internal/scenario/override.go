@@ -6,9 +6,9 @@ import (
 )
 
 // Overrides carries CLI-level adjustments layered over a loaded spec:
-// when a scenario file is in play, the flags of cmd/federation and
-// cmd/campaign stop describing whole worlds and become overrides of the
-// named scenario. Nil pointer fields leave the spec untouched.
+// when a scenario file is in play, the flags of cmd/federation stop
+// describing whole worlds and become overrides of the named scenario.
+// Nil pointer fields leave the spec untouched.
 type Overrides struct {
 	// Seed replaces the spec's root seed.
 	Seed *uint64

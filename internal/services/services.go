@@ -65,11 +65,11 @@ type Service interface {
 
 // Submitter abstracts where wrapper-backed services send their grid jobs:
 // the whole grid (the single-workflow case — *grid.Grid satisfies the
-// interface directly), one tenant of a shared grid (*grid.Tenant, used by
-// multi-tenant campaigns), or a tenant of a multi-grid federation
-// (*federation.Tenant), whose broker policy picks a target grid per job.
-// Tenant-shaped submitters tag submissions for per-tenant accounting and
-// route them through the fair-share gate at each UI.
+// interface directly), or one tenant of a federation (*federation.Tenant,
+// used by multi-tenant campaigns, a shared grid being a one-grid
+// federation), whose broker policy picks a target grid per job. A tenant
+// submitter tags submissions for per-tenant accounting and routes them
+// through the fair-share gate at each UI.
 //
 // Submitter identity is tenancy identity: tenant handles are memoized, so
 // comparing Submitters (as Grouped does) detects members that would submit

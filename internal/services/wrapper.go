@@ -28,8 +28,8 @@ type Wrapper struct {
 
 // NewWrapper builds a generic wrapper around the descriptor. outSizes maps
 // each declared output name to the size of the file the code produces. g
-// is where jobs go: pass the *grid.Grid itself, or a *grid.Tenant handle
-// to tag every submission with that tenant.
+// is where jobs go: pass the *grid.Grid itself, or a *federation.Tenant
+// handle to broker every submission and tag it with that tenant.
 func NewWrapper(g Submitter, desc *descriptor.Description, run RuntimeModel, outSizes map[string]float64) (*Wrapper, error) {
 	if err := desc.Validate(); err != nil {
 		return nil, err

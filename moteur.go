@@ -68,11 +68,6 @@ type (
 // NewGrid builds a grid on the engine.
 func NewGrid(eng *Engine, cfg GridConfig) *Grid { return grid.New(eng, cfg) }
 
-// GridTenant is a named submission handle on a shared grid: jobs submitted
-// through it are tagged for per-tenant accounting and scheduled through
-// the fair-share gate. Obtain one with Grid.Tenant(name).
-type GridTenant = grid.Tenant
-
 // DefaultGridConfig returns the calibrated production-grid model.
 func DefaultGridConfig() GridConfig { return grid.DefaultConfig() }
 
@@ -206,7 +201,7 @@ type (
 	// FederationGridSpec names and configures one member grid.
 	FederationGridSpec = federation.GridSpec
 	// FederationTenant is a named submission handle brokered across the
-	// member grids; it satisfies Submitter like GridTenant does.
+	// member grids, the unit of multi-tenancy; it satisfies Submitter.
 	FederationTenant = federation.Tenant
 	// FederationTelemetry is the smoothed per-grid overhead view the
 	// ranked policy feeds on.
