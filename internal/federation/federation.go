@@ -215,6 +215,7 @@ type Federation struct {
 	alpha   float64
 	catalog *grid.Catalog
 	tenants map[string]*Tenant
+	anon    *Tenant // the "" tenant Submit uses
 	telem   []Telemetry
 	// records holds every dispatched attempt in dispatch order, across
 	// grids and tenants — the federation-level aggregate the per-grid and
@@ -264,6 +265,7 @@ func New(eng *sim.Engine, cfg Config) (*Federation, error) {
 		telem:   make([]Telemetry, len(cfg.Grids)),
 		views:   make([]GridView, len(cfg.Grids)),
 	}
+	f.anon = f.Tenant("")
 	if f.policy == nil {
 		f.policy = Ranked()
 	}
@@ -514,11 +516,11 @@ func (f *Federation) Phases() grid.PhaseStats {
 // (terminal state must be read from the callback's record — a re-brokered
 // job's final record is a different one, on a different grid).
 func (f *Federation) Submit(spec grid.JobSpec, done func(*grid.JobRecord)) *grid.JobRecord {
-	return f.submit("", spec, done)
+	return f.submit(f.anon, spec, done)
 }
 
-func (f *Federation) submit(tenant string, spec grid.JobSpec, done func(*grid.JobRecord)) *grid.JobRecord {
-	return f.dispatch(tenant, spec, done, f.pick(spec, -1), f.cfg.Rebroker)
+func (f *Federation) submit(t *Tenant, spec grid.JobSpec, done func(*grid.JobRecord)) *grid.JobRecord {
+	return f.dispatch(t, spec, done, f.pick(spec, -1), f.cfg.Rebroker)
 }
 
 // negativeLinks reports whether any class or pair of the link model has a
@@ -582,19 +584,21 @@ func (f *Federation) pick(spec grid.JobSpec, exclude int) int {
 // dispatch submits one attempt to member grid idx and arms the re-broker:
 // on terminal failure with retries left, the policy picks another grid
 // (excluding the one that just failed) and the spec is resubmitted there
-// as a fresh job.
-func (f *Federation) dispatch(tenant string, spec grid.JobSpec, done func(*grid.JobRecord), idx, retries int) *grid.JobRecord {
+// as a fresh job. Each attempt's record lands in the federation's and the
+// tenant's record lists.
+func (f *Federation) dispatch(t *Tenant, spec grid.JobSpec, done func(*grid.JobRecord), idx, retries int) *grid.JobRecord {
 	f.telem[idx].Dispatched++
-	rec := f.grids[idx].SubmitAs(tenant, spec, func(r *grid.JobRecord) {
+	rec := f.grids[idx].SubmitAs(t.name, spec, func(r *grid.JobRecord) {
 		f.observe(idx, r)
 		if r.Status == grid.StatusFailed && retries > 0 && len(f.grids) > 1 && rebrokerable(r) {
 			f.telem[idx].Rebrokered++
-			f.dispatch(tenant, spec, done, f.pick(spec, idx), retries-1)
+			f.dispatch(t, spec, done, f.pick(spec, idx), retries-1)
 			return
 		}
 		done(r)
 	})
 	f.records = append(f.records, rec)
+	t.records = append(t.records, rec)
 	return rec
 }
 
@@ -659,6 +663,9 @@ func ewma(prev, obs time.Duration, alpha float64) time.Duration {
 type Tenant struct {
 	f    *Federation
 	name string
+	// records holds this tenant's dispatched attempts in dispatch order;
+	// the tenants' lists partition Federation.records.
+	records []*grid.JobRecord
 }
 
 // Tenant returns the submission handle for the named tenant, creating it
@@ -690,20 +697,17 @@ func (t *Tenant) Engine() *sim.Engine { return t.f.eng }
 // Federation.Submit; the only difference is the tenant tag carried onto
 // whichever grid the broker picks.
 func (t *Tenant) Submit(spec grid.JobSpec, done func(*grid.JobRecord)) *grid.JobRecord {
-	return t.f.submit(t.name, spec, done)
+	return t.f.submit(t, spec, done)
 }
 
 // Records returns this tenant's job records across all member grids, in
-// dispatch order. Records of in-flight jobs are included and still
-// mutating.
+// dispatch order, one per attempt like Federation.Records. Records of
+// in-flight jobs are included and still mutating. The slice is the
+// federation's own and read-only: it is capped at its length, so an
+// append by the caller copies instead of writing into it.
 func (t *Tenant) Records() []*grid.JobRecord {
-	var out []*grid.JobRecord
-	for _, r := range t.f.records {
-		if r.Tenant == t.name {
-			out = append(out, r)
-		}
-	}
-	return out
+	n := len(t.records)
+	return t.records[:n:n]
 }
 
 // Overheads computes overhead statistics over this tenant's jobs only,

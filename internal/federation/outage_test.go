@@ -371,3 +371,92 @@ func TestOutageConfigValidation(t *testing.T) {
 		t.Errorf("disjoint windows of one grid were rejected: %v", err)
 	}
 }
+
+// TestTenantRecordsPartition checks the per-tenant record lists against
+// the federation's own under re-brokering: a job moved off a dark grid
+// appears in its tenant's list once per attempt, in dispatch order; jobs
+// sent through Federation.Submit belong to the "" tenant; the tenants'
+// lists partition Federation.Records exactly, each being the global list
+// filtered by tenant; and a caller's append cannot write into a list.
+func TestTenantRecordsPartition(t *testing.T) {
+	eng := sim.NewEngine()
+	f, err := New(eng, Config{
+		Grids: fourGridSpecs(), Policy: RoundRobin(), Rebroker: 2,
+		Outages: []Outage{{Grid: "g1", At: 290 * time.Second, For: 600 * time.Second}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tenants := []*Tenant{f.Tenant(""), f.Tenant("a"), f.Tenant("b")}
+	finals := make(map[string]*grid.JobRecord)
+	for i := 0; i < 60; i++ {
+		i := i
+		eng.Schedule(sim.Time(i/3)*time.Minute, func() {
+			spec := grid.JobSpec{Name: fmt.Sprintf("job%03d", i), Runtime: time.Minute}
+			done := func(r *grid.JobRecord) { finals[spec.Name] = r }
+			if i%3 == 0 {
+				f.Submit(spec, done)
+			} else {
+				tenants[i%3].Submit(spec, done)
+			}
+		})
+	}
+	eng.Run()
+
+	owner := make(map[*grid.JobRecord]string)
+	rebrokered := 0
+	for _, tn := range tenants {
+		var want []*grid.JobRecord
+		for _, r := range f.Records() {
+			if r.Tenant == tn.Name() {
+				want = append(want, r)
+			}
+		}
+		got := tn.Records()
+		if len(got) != len(want) {
+			t.Fatalf("tenant %q: %d records, the filter finds %d", tn.Name(), len(got), len(want))
+		}
+		attempts := make(map[string][]*grid.JobRecord)
+		for i, r := range got {
+			if r != want[i] {
+				t.Fatalf("tenant %q: record %d is job %s on %s, the filter has job %s on %s",
+					tn.Name(), i, r.Spec.Name, r.Grid, want[i].Spec.Name, want[i].Grid)
+			}
+			if prev, ok := owner[r]; ok {
+				t.Fatalf("record of job %s is in the lists of tenants %q and %q", r.Spec.Name, prev, tn.Name())
+			}
+			owner[r] = tn.Name()
+			attempts[r.Spec.Name] = append(attempts[r.Spec.Name], r)
+		}
+		for name, recs := range attempts {
+			if len(recs) > 1 {
+				rebrokered++
+			}
+			for i := 1; i < len(recs); i++ {
+				if recs[i-1].Status != grid.StatusFailed || recs[i].Submitted < recs[i-1].Completed {
+					t.Fatalf("tenant %q: attempt %d of job %s is not after a failed attempt", tn.Name(), i, name)
+				}
+			}
+			if last := recs[len(recs)-1]; finals[name] != last {
+				t.Fatalf("tenant %q: job %s's last attempt is not the record its callback saw", tn.Name(), name)
+			}
+		}
+		if len(got) == 0 {
+			t.Fatalf("tenant %q has no records", tn.Name())
+		}
+		if cap(got) != len(got) {
+			t.Fatalf("tenant %q: Records has spare capacity %d, a caller's append would write into it",
+				tn.Name(), cap(got)-len(got))
+		}
+		_ = append(got, nil)
+		if again := tn.Records(); len(again) != len(got) {
+			t.Fatalf("tenant %q: a caller's append changed the list", tn.Name())
+		}
+	}
+	if len(owner) != len(f.Records()) || len(finals) != 60 {
+		t.Fatalf("tenant lists hold %d records of %d; %d of 60 jobs finished", len(owner), len(f.Records()), len(finals))
+	}
+	if rebrokered == 0 {
+		t.Fatal("no job was re-brokered: the outage had no casualties")
+	}
+}

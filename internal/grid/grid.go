@@ -105,7 +105,8 @@ type Config struct {
 	// twice as often as weight-1 tenants under contention. Absent or
 	// sub-1 entries mean weight 1; with no weights (or one tenant) the
 	// gate is the plain round-robin it always was. Ignored under
-	// StrictFIFOSubmit.
+	// StrictFIFOSubmit. A tenant's weight is read once, at its first
+	// submission.
 	TenantWeights map[string]int
 	// StageRetries bounds the re-staging rounds of one job attempt after
 	// a retryable storage failure (a replica source dark at leg start, a
@@ -231,12 +232,16 @@ type Grid struct {
 
 	// Fair-share submission gate in front of the serialized UI: one queue
 	// per tenant (one in all under StrictFIFOSubmit), drained round-robin
-	// (see pumpSubmits).
-	subQueues  map[string]*submitQueue
-	subRing    []string // queue keys in first-submission order
-	subRR      int      // next ring slot to serve
-	subServed  int      // submissions served to slot subRR this round
-	subPending int      // accepted, UI latency not yet paid
+	// (see pumpSubmits). The ring holds the queues by slot in
+	// first-submission order; subSlot maps a queue key to its slot and is
+	// consulted only on enqueue; subLive holds the non-empty slots, so the
+	// pump finds the next queue to serve without visiting the empty ones.
+	subRing    []*submitQueue
+	subSlot    map[string]int
+	subLive    liveSet
+	subRR      int // next ring slot to serve
+	subServed  int // submissions served to slot subRR this round
+	subPending int // accepted, UI latency not yet paid
 	uiBusy     bool
 
 	// down marks the grid dark (see SetDown): every job attempt fails
@@ -271,12 +276,12 @@ func NewWithCatalog(eng *sim.Engine, cfg Config, cat *Catalog) *Grid {
 		cat = NewCatalog()
 	}
 	g := &Grid{
-		Eng:       eng,
-		cfg:       cfg,
-		broker:    sim.NewResource(eng, cfg.BrokerSlots),
-		catalog:   cat,
-		rnd:       rng.New(cfg.Seed),
-		subQueues: make(map[string]*submitQueue),
+		Eng:     eng,
+		cfg:     cfg,
+		broker:  sim.NewResource(eng, cfg.BrokerSlots),
+		catalog: cat,
+		rnd:     rng.New(cfg.Seed),
+		subSlot: make(map[string]int),
 	}
 	// The catalog needs the engine clock for storage access-recency
 	// accounting; the first grid of a shared-catalog federation binds it.

@@ -3,6 +3,7 @@ package grid
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"repro/internal/sim"
@@ -216,10 +217,13 @@ type pendingSubmit struct {
 // submitQueue is a FIFO of pending submissions with O(1) pops: a head
 // index advances instead of re-slicing, and the buffer compacts once the
 // dead prefix dominates (the same shape as core's tupleQueue). Popped
-// slots are zeroed so completed jobs' callbacks are not retained.
+// slots are zeroed so completed jobs' callbacks are not retained. weight
+// is the queue key's fair-share weight, fixed when the queue joins the
+// ring.
 type submitQueue struct {
-	buf  []pendingSubmit
-	head int
+	buf    []pendingSubmit
+	head   int
+	weight int
 }
 
 func (q *submitQueue) len() int { return len(q.buf) - q.head }
@@ -240,6 +244,78 @@ func (q *submitQueue) pop() pendingSubmit {
 		q.head = 0
 	}
 	return ps
+}
+
+// liveSet is the fair-share gate's set of non-empty ring slots: bit i of
+// words is set iff slot i has a waiting submission, and bit j of sum is set
+// iff words[j] is non-zero. A search reads one summary word per 4096 slots,
+// so finding the next waiting tenant costs the same at 10 and at 10 000
+// tenants.
+type liveSet struct {
+	words, sum []uint64
+}
+
+func (s *liveSet) set(i int) {
+	w := i / 64
+	for w >= len(s.words) {
+		s.words = append(s.words, 0)
+	}
+	for w/64 >= len(s.sum) {
+		s.sum = append(s.sum, 0)
+	}
+	s.words[w] |= 1 << (i % 64)
+	s.sum[w/64] |= 1 << (w % 64)
+}
+
+func (s *liveSet) clear(i int) {
+	w := i / 64
+	s.words[w] &^= 1 << (i % 64)
+	if s.words[w] == 0 {
+		s.sum[w/64] &^= 1 << (w % 64)
+	}
+}
+
+// next returns the first set slot at or after from, wrapping once to slot
+// 0, or -1 when the set is empty.
+func (s *liveSet) next(from int) int {
+	w := from / 64
+	if w < len(s.words) {
+		if b := s.words[w] >> (from % 64); b != 0 {
+			return from + bits.TrailingZeros64(b)
+		}
+	}
+	// The next non-empty word after w, wrapping: possibly w itself, whose
+	// set slots then all lie below from.
+	if w = nextBit(s.sum, w+1); w < 0 {
+		return -1
+	}
+	return w*64 + bits.TrailingZeros64(s.words[w])
+}
+
+// nextBit returns the first set bit of words at or after from, wrapping
+// once to bit 0, or -1 when no bit is set.
+func nextBit(words []uint64, from int) int {
+	n := len(words)
+	if n == 0 {
+		return -1
+	}
+	w := from / 64
+	if w >= n {
+		w, from = 0, 0
+	}
+	b := words[w] &^ (1<<(from%64) - 1)
+	// n+1 words: the last is the starting word again, whole, for the
+	// bits below from.
+	for i := 0; i <= n; i++ {
+		if b != 0 {
+			return w*64 + bits.TrailingZeros64(b)
+		}
+		if w++; w == n {
+			w = 0
+		}
+		b = words[w]
+	}
+	return -1
 }
 
 // SubmitAs enters a job into the grid tagged with the named tenant
@@ -273,16 +349,17 @@ func (g *Grid) SubmitAs(tenant string, spec JobSpec, done func(*JobRecord)) *Job
 	if g.cfg.StrictFIFOSubmit {
 		key = ""
 	}
-	q, ok := g.subQueues[key]
+	slot, ok := g.subSlot[key]
 	if !ok {
 		// First submission ever under this key: join the round-robin
-		// ring. Drained queues stay in the map so the ring has no
+		// ring. Drained queues keep their slot so the ring has no
 		// duplicates.
-		q = &submitQueue{}
-		g.subQueues[key] = q
-		g.subRing = append(g.subRing, key)
+		slot = len(g.subRing)
+		g.subSlot[key] = slot
+		g.subRing = append(g.subRing, &submitQueue{weight: g.tenantWeight(key)})
 	}
-	q.push(pendingSubmit{g.newRun(rec, done)})
+	g.subRing[slot].push(pendingSubmit{g.newRun(rec, done)})
+	g.subLive.set(slot)
 	g.subPending++
 	g.pumpSubmits()
 	return rec
@@ -304,27 +381,23 @@ func (g *Grid) pumpSubmits() {
 	if g.uiBusy {
 		return
 	}
-	pick := -1 // index into subRing of the queue to serve
-	n := len(g.subRing)
-	for i := 0; i < n; i++ {
-		idx := (g.subRR + i) % n
-		if g.subQueues[g.subRing[idx]].len() > 0 {
-			pick = idx
-			break
-		}
-	}
+	pick := g.subLive.next(g.subRR)
 	if pick < 0 {
 		return
 	}
-	ps := g.subQueues[g.subRing[pick]].pop()
+	q := g.subRing[pick]
+	ps := q.pop()
+	if q.len() == 0 {
+		g.subLive.clear(pick)
+	}
 	if pick != g.subRR {
 		// The ring moved past empty queues: the served counter belongs
 		// to the newly-current slot.
 		g.subRR, g.subServed = pick, 0
 	}
 	g.subServed++
-	if g.subServed >= g.tenantWeight(g.subRing[pick]) {
-		g.subRR = (pick + 1) % n
+	if g.subServed >= q.weight {
+		g.subRR = (pick + 1) % len(g.subRing)
 		g.subServed = 0
 	}
 

@@ -158,10 +158,11 @@ func (s *Spec) expandGrids(rootSeed uint64) []federation.GridSpec {
 // max(10−2i, 2) default clusters (written out explicitly), pays (i+1)×
 // the default UI submission latency, seeds its random streams at seed+i,
 // and generates background load for four virtual days (enough to cover
-// campaign spans while keeping the event count bounded).
+// campaign spans while keeping the event count bounded). A count n ≤ 0
+// yields no grids, which Spec.Validate rejects.
 func HeterogeneousGrids(n int, seed uint64) []GridSpec {
 	def := grid.DefaultConfig()
-	out := make([]GridSpec, n)
+	out := make([]GridSpec, max(n, 0))
 	for i := range out {
 		keep := max(len(def.Clusters)-2*i, 2)
 		clusters := make([]ClusterSpec, keep)

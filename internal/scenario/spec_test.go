@@ -282,6 +282,33 @@ func TestHeterogeneousGridsMatchLibrary(t *testing.T) {
 	}
 }
 
+// TestHeterogeneousGridsCount pins the generator's count contract: a
+// count below one yields no grids, which Validate reports, instead of
+// panicking.
+func TestHeterogeneousGridsCount(t *testing.T) {
+	for _, tc := range []struct {
+		n       int
+		wantErr string
+	}{{-1, "no grids"}, {0, "no grids"}, {1, ""}} {
+		grids := HeterogeneousGrids(tc.n, 1)
+		if want := max(tc.n, 0); len(grids) != want {
+			t.Fatalf("HeterogeneousGrids(%d) = %d grids, want %d", tc.n, len(grids), want)
+		}
+		s, err := Parse([]byte(baselineDoc), "test.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Grids = grids
+		err = s.Validate()
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("n=%d: %v", tc.n, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("n=%d: error %v, want one containing %q", tc.n, err, tc.wantErr)
+		}
+	}
+}
+
 // TestOverridesApply covers the CLI override layer: each flag replaces
 // its spec field, outages append, and the overrides that would silently
 // not apply are rejected.
