@@ -40,6 +40,7 @@ package federation
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -340,6 +341,12 @@ func New(eng *sim.Engine, cfg Config) (*Federation, error) {
 		}
 		if o.At < 0 || o.For < 0 {
 			return nil, fmt.Errorf("federation: outage of %q has a negative instant or duration", o.Grid)
+		}
+		// A window must end at a representable instant: At+For past the
+		// largest sim.Time would wrap negative, defeat the overlap check
+		// below and schedule the recovery in the past.
+		if o.For > math.MaxInt64-o.At {
+			return nil, fmt.Errorf("federation: outage window of %q ends past the largest instant", o.Grid)
 		}
 		// Windows of one grid and mode must not overlap: a window's
 		// scheduled recovery is unconditional, so an overlap would let

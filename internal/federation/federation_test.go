@@ -3,6 +3,7 @@ package federation
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -354,6 +355,7 @@ func TestFederationDeterminism(t *testing.T) {
 func TestFederationConfigValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	ok := GridSpec{Config: testGridConfig(2, time.Second)}
+	named := GridSpec{Name: "x", Config: ok.Config}
 	cases := []struct {
 		name string
 		cfg  Config
@@ -369,6 +371,15 @@ func TestFederationConfigValidation(t *testing.T) {
 		{"negative intra-grid latency", Config{Grids: []GridSpec{ok}, Links: &grid.Links{IntraGrid: grid.Link{Latency: -time.Second}}}},
 		{"negative pair bandwidth", Config{Grids: []GridSpec{ok}, Links: &grid.Links{Pairs: map[grid.GridPair]grid.Link{{From: "a", To: "b"}: {MBps: -1}}}}},
 		{"negative pair latency", Config{Grids: []GridSpec{ok}, Links: &grid.Links{Pairs: map[grid.GridPair]grid.Link{{From: "a", To: "b"}: {MBps: 1, Latency: -time.Second}}}}},
+		// A window ending past the largest sim.Time wrapped At+For
+		// negative and panicked the engine with a negative delay.
+		{"outage ending past the largest instant", Config{Grids: []GridSpec{named},
+			Outages: []Outage{{Grid: "x", At: 2500000 * time.Hour, For: 2500000 * time.Hour}}}},
+		{"storage outage ending past the largest instant", Config{Grids: []GridSpec{named},
+			Outages: []Outage{{Grid: "x", At: time.Hour, For: math.MaxInt64, Storage: true}}}},
+		// The same wrap used to slip an overlap past the overlap check.
+		{"wrapped outage overlapping a later one", Config{Grids: []GridSpec{named},
+			Outages: []Outage{{Grid: "x", At: time.Hour, For: math.MaxInt64}, {Grid: "x", At: 2 * time.Hour, For: time.Hour}}}},
 	}
 	for _, c := range cases {
 		if _, err := New(eng, c.cfg); err == nil {

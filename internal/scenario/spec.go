@@ -724,9 +724,10 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-// validateOutages rejects unknown grids and overlapping windows of one
-// grid and mode — the same rule federation.New enforces, surfaced here
-// with a line anchor before any world is built.
+// validateOutages rejects unknown grids, windows ending past the largest
+// instant and overlapping windows of one grid and mode — the rules
+// federation.New enforces, surfaced here with a line anchor before any
+// world is built.
 func (s *Spec) validateOutages(gridSet map[string]bool) error {
 	perKey := make(map[string][]OutageSpec)
 	for _, o := range s.Outages {
@@ -735,6 +736,9 @@ func (s *Spec) validateOutages(gridSet map[string]bool) error {
 		}
 		if o.At < 0 || o.For < 0 {
 			return s.errAt(o.Grid, "outage of %q has a negative instant or duration", o.Grid)
+		}
+		if o.For > math.MaxInt64-o.At {
+			return s.errAt(o.Grid, "outage window of %q ends past the largest instant", o.Grid)
 		}
 		key := o.Grid
 		if o.Storage {

@@ -156,6 +156,12 @@ func TestSpecRejectsWorldErrors(t *testing.T) {
               {"grid": "g0", "at": "20m", "for": "5m"}],`)
 	mustReject(t, doc, "g0", `outage windows of "g0" overlap`)
 
+	// A window ending past the largest instant, which used to pass
+	// validation and then panic the engine in federation.New.
+	doc = edit(t, `"links": {"local": true},`, `"links": {"local": true},
+  "outages": [{"grid": "g0", "at": "2500000h", "for": "2500000h"}],`)
+	mustReject(t, doc, "g0", `outage window of "g0" ends past the largest instant`)
+
 	mustReject(t, edit(t, `"links": {"local": true},`,
 		`"links": {"local": true}, "storage": {"capacityMB": 100, "eviction": "fifo"},`),
 		"fifo", `unknown eviction policy "fifo"`)
@@ -240,6 +246,21 @@ func TestSpecRejectsTenantErrors(t *testing.T) {
                  "sizes": {"kind": "constant", "meanMB": 5}}
   }, {`)
 	mustReject(t, doc, "t", `duplicate tenant group prefix "t"`)
+}
+
+// TestWavesPastLargestInstantRejected pins that failure waves whose
+// windows end past the largest instant make Compile fail instead of
+// panicking the engine: the spec validates, and federation.New rejects
+// the generated window.
+func TestWavesPastLargestInstantRejected(t *testing.T) {
+	s, err := Parse([]byte(edit(t, `"links": {"local": true},`, `"links": {"local": true},
+  "waves": {"waves": 1, "spacing": "1h", "fraction": 1, "firstAt": "2500000h", "duration": "2500000h"},`)), "test.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Compile(sim.NewEngine(), s); err == nil || !strings.Contains(err.Error(), "ends past the largest instant") {
+		t.Fatalf("Compile error = %v, want a window ending past the largest instant", err)
+	}
 }
 
 // TestPolicyListRotates pins the policy list semantics: member i of a

@@ -18,7 +18,8 @@ type Resource struct {
 	eng       *Engine
 	capacity  int
 	busy      int
-	queue     []waiter
+	queue     []waiter // waiting from head on
+	head      int
 	peakBusy  int
 	peakWait  int
 	grants    uint64
@@ -61,7 +62,7 @@ func (r *Resource) Capacity() int { return r.capacity }
 func (r *Resource) Busy() int { return r.busy }
 
 // Waiting returns the number of queued acquisition requests.
-func (r *Resource) Waiting() int { return len(r.queue) }
+func (r *Resource) Waiting() int { return len(r.queue) - r.head }
 
 // PeakBusy returns the maximum number of simultaneously held slots observed.
 func (r *Resource) PeakBusy() int { return r.peakBusy }
@@ -98,9 +99,7 @@ func (r *Resource) acquire(w waiter) {
 		return
 	}
 	r.queue = append(r.queue, w)
-	if len(r.queue) > r.peakWait {
-		r.peakWait = len(r.queue)
-	}
+	r.peakWait = max(r.peakWait, r.Waiting())
 }
 
 func (r *Resource) grant(w waiter) {
@@ -119,14 +118,23 @@ func (r *Resource) Release() {
 		panic("sim: Release without matching Acquire")
 	}
 	r.busy--
-	if len(r.queue) > 0 {
-		next := r.queue[0]
-		// Shift rather than re-slice forever; queues here are short-lived.
-		n := copy(r.queue, r.queue[1:])
-		r.queue[n] = waiter{}
-		r.queue = r.queue[:n]
-		r.grant(next)
+	if r.head == len(r.queue) {
+		return
 	}
+	next := r.queue[r.head]
+	r.queue[r.head] = waiter{}
+	r.head++
+	// Grants advance a head index, so draining n waiters is O(n). The
+	// queue rewinds when it empties and compacts once the head passes
+	// half of it, which keeps the copies amortised O(1) per grant.
+	if r.head == len(r.queue) {
+		r.queue, r.head = r.queue[:0], 0
+	} else if r.head > len(r.queue)/2 {
+		n := copy(r.queue, r.queue[r.head:])
+		clear(r.queue[n:])
+		r.queue, r.head = r.queue[:n], 0
+	}
+	r.grant(next)
 }
 
 // Use acquires a slot, holds it for d, then releases it and calls done

@@ -6,11 +6,13 @@
 // Events scheduled for the same instant execute in schedule order, which
 // makes runs deterministic for a given seed.
 //
-// The engine is built for high event rates: events scheduled for the same
-// instant share one bucket (a single priority-queue node), so bursts —
-// thousands of data-parallel completions at one virtual time — cost O(1)
-// per event instead of O(log n) heap sifts, and whole buckets execute as
-// batches. Event and bucket objects are recycled through free lists, so
+// The event queue is a radix heap (Ahuja, Mehlhorn, Orlin & Tarjan 1990),
+// which fits because scheduling is monotone: nothing is scheduled before
+// now. Scheduling is one slice append, whatever the instant; popping
+// costs amortised O(log of the time span), with no comparisons between
+// pending events and no per-instant bookkeeping. A burst — thousands of
+// data-parallel completions at one virtual time — is handed to execution
+// as a whole slice. Events are recycled through a free list, so
 // steady-state scheduling allocates nothing. A consequence of pooling: an
 // *Event pointer is only valid until its callback has run (or until a
 // cancelled event is collected). Cancelling before then is always safe;
@@ -19,8 +21,8 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"math/bits"
 	"time"
 )
 
@@ -56,62 +58,38 @@ func (e *Event) Cancel() {
 	e.eng.live--
 }
 
-// bucket holds every not-yet-fired event of one virtual instant, in
-// schedule order.
-type bucket struct {
-	at     Time
-	events []*Event
-	index  int // heap index
-}
-
-type bucketHeap []*bucket
-
-func (h bucketHeap) Len() int           { return len(h) }
-func (h bucketHeap) Less(i, j int) bool { return h[i].at < h[j].at }
-func (h bucketHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *bucketHeap) Push(x any) {
-	b := x.(*bucket)
-	b.index = len(*h)
-	*h = append(*h, b)
-}
-func (h *bucketHeap) Pop() any {
-	old := *h
-	n := len(old)
-	b := old[n-1]
-	old[n-1] = nil
-	b.index = -1
-	*h = old[:n-1]
-	return b
+// entry is one queued event with its instant kept inline, so moving and
+// scanning a slice of the queue never dereferences the event.
+type entry struct {
+	at Time
+	ev *Event
 }
 
 // Engine is a single-threaded discrete-event scheduler. It is not safe for
 // concurrent use: all simulated components run in event callbacks on the
 // engine's (single) control flow, which is what makes runs deterministic.
 type Engine struct {
-	now     Time
-	buckets bucketHeap
-	byTime  map[Time]*bucket // pending instants → their bucket
-	fired   uint64
-	live    int // scheduled and neither fired nor cancelled
+	now   Time
+	fired uint64
+	live  int // scheduled and neither fired nor cancelled
 
-	// batch is the bucket currently executing; batchPos is the next entry
-	// to fire. Events scheduled while a batch drains (even at the same
-	// instant) land in a fresh bucket, which the heap orders after the
-	// draining one — schedule order is preserved because the new arrivals
-	// are younger than everything already in the batch.
-	batch    []*Event
-	batchPos int
+	// The radix heap. Every queued instant is >= base, and base <= now
+	// between calls. An entry at instant t sits in q[bits.Len64(t^base)]:
+	// q[0] holds exactly the instant base, and q[i] the instants that
+	// first differ from base at bit i-1, so every instant in q[i] is
+	// smaller than every instant in q[j] for i < j. q[0] executes from
+	// head. For i >= 1, used has bit i set exactly when q[i] is
+	// non-empty; bit 0 is not kept, since head marks what q[0] holds.
+	base Time
+	q    [64][]entry
+	head int
+	used uint64
 
-	freeEvents  []*Event
-	freeBuckets []*bucket
+	freeEvents []*Event
 }
 
 // NewEngine returns an engine with the clock at zero and no pending events.
-func NewEngine() *Engine { return &Engine{byTime: make(map[Time]*bucket)} }
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -167,8 +145,9 @@ func (e *Engine) AtArg(t Time, fn func(any), arg any) *Event {
 	return ev
 }
 
-// newEvent pulls a recycled (or new) event, stamps its instant, and files
-// it in the instant's bucket. The caller fills in the callback.
+// newEvent pulls a recycled (or new) event, stamps its instant, and
+// appends it to its radix slice — behind every earlier event of the same
+// instant, which shares the slice. The caller fills in the callback.
 func (e *Engine) newEvent(t Time) *Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: At(%v) precedes now (%v)", t, e.now))
@@ -183,20 +162,9 @@ func (e *Engine) newEvent(t Time) *Event {
 		ev = &Event{eng: e, at: t}
 	}
 	e.live++
-	b, ok := e.byTime[t]
-	if !ok {
-		if n := len(e.freeBuckets); n > 0 {
-			b = e.freeBuckets[n-1]
-			e.freeBuckets[n-1] = nil
-			e.freeBuckets = e.freeBuckets[:n-1]
-			b.at = t
-		} else {
-			b = &bucket{at: t}
-		}
-		e.byTime[t] = b
-		heap.Push(&e.buckets, b)
-	}
-	b.events = append(b.events, ev)
+	i := bits.Len64(uint64(t ^ e.base))
+	e.q[i] = append(e.q[i], entry{t, ev})
+	e.used |= 1 << i
 	return ev
 }
 
@@ -207,80 +175,80 @@ func (e *Engine) recycle(ev *Event) {
 	e.freeEvents = append(e.freeEvents, ev)
 }
 
-// refill swaps the earliest bucket's events into the execution batch.
-// It reports whether any events are available.
+// refill is called with q[0] drained. It takes the first non-empty slice,
+// moves base to that slice's minimum instant and redistributes the slice
+// relative to the new base, which puts its earliest instant into q[0].
+// Moves are stable, so one instant's events keep their schedule order. A
+// slice of one instant (a burst) is swapped into q[0] whole. refill
+// reports false, resetting base to now, when the queue is empty.
 func (e *Engine) refill() bool {
-	if len(e.buckets) == 0 {
+	e.q[0], e.head = e.q[0][:0], 0
+	e.used &^= 1
+	if e.used == 0 {
+		e.base = e.now
 		return false
 	}
-	b := heap.Pop(&e.buckets).(*bucket)
-	delete(e.byTime, b.at)
-	// Swap slices so the drained batch's capacity is reused by the next
-	// bucket instead of being garbage.
-	e.batch, b.events = b.events, e.batch[:0]
-	e.batchPos = 0
-	e.freeBuckets = append(e.freeBuckets, b)
+	i := bits.TrailingZeros64(e.used)
+	src := e.q[i]
+	lo, hi := src[0].at, src[0].at
+	for _, en := range src[1:] {
+		lo, hi = min(lo, en.at), max(hi, en.at)
+	}
+	e.base = lo
+	e.used &^= 1 << i
+	if lo == hi {
+		e.q[0], e.q[i] = src, e.q[0]
+		return true
+	}
+	// Every instant of src agrees with lo above bit i-1, so each lands in
+	// a slice below i, and those slices are all empty here.
+	for _, en := range src {
+		j := bits.Len64(uint64(en.at ^ lo))
+		e.q[j] = append(e.q[j], en)
+		e.used |= 1 << j
+	}
+	e.q[i] = src[:0]
 	return true
 }
 
-// next returns the next event to consider firing; nil means none remain.
-// Cancelled events are returned too (the caller skips and recycles them).
-func (e *Engine) next() *Event {
-	for {
-		if e.batchPos < len(e.batch) {
-			ev := e.batch[e.batchPos]
-			e.batch[e.batchPos] = nil
-			e.batchPos++
-			return ev
-		}
-		if !e.refill() {
-			return nil
-		}
-	}
-}
-
-// peek returns the earliest pending (non-cancelled) event without firing
-// it; nil means none remain. Cancelled events at the front of the batch or
-// of the earliest bucket are collected on the way. The heap is inspected
-// in place — peek must not commit a bucket to execution, because events
-// scheduled after a RunUntil stop may precede it.
-func (e *Engine) peek() *Event {
-	for e.batchPos < len(e.batch) {
-		ev := e.batch[e.batchPos]
+// peek returns the instant of the earliest pending (non-cancelled) event
+// without firing it; ok is false when none remain. Cancelled events at the
+// front of q[0] are collected on the way. peek never moves base: events
+// scheduled after a RunUntil stop or a NextAt, at now, may precede the
+// instant it reports, and they must still find their slice. So past q[0]
+// it only scans the first slice that holds a live event for its minimum.
+func (e *Engine) peek() (Time, bool) {
+	for q := e.q[0]; e.head < len(q); e.head++ {
+		ev := q[e.head].ev
 		if !ev.canceled {
-			return ev
+			return e.base, true
 		}
-		e.batch[e.batchPos] = nil
-		e.batchPos++
 		e.recycle(ev)
 	}
-	for len(e.buckets) > 0 {
-		b := e.buckets[0]
-		for len(b.events) > 0 {
-			ev := b.events[0]
-			if !ev.canceled {
-				return ev
+	for used := e.used &^ 1; used != 0; used &= used - 1 {
+		var lo Time
+		ok := false
+		for _, en := range e.q[bits.TrailingZeros64(used)] {
+			if !en.ev.canceled && (!ok || en.at < lo) {
+				lo, ok = en.at, true
 			}
-			b.events[0] = nil
-			b.events = b.events[1:]
-			e.recycle(ev)
 		}
-		// Every event of the earliest bucket was cancelled: retire it.
-		heap.Pop(&e.buckets)
-		delete(e.byTime, b.at)
-		e.freeBuckets = append(e.freeBuckets, b)
+		if ok {
+			return lo, true
+		}
 	}
-	return nil
+	return 0, false
 }
 
 // Step fires the next pending event, advancing the clock to its instant.
 // It reports whether an event fired (false means the queue was empty).
 func (e *Engine) Step() bool {
 	for {
-		ev := e.next()
-		if ev == nil {
+		if e.head == len(e.q[0]) && !e.refill() {
 			return false
 		}
+		ev := e.q[0][e.head].ev
+		e.head++
 		if ev.canceled {
 			e.recycle(ev)
 			continue
@@ -305,8 +273,8 @@ func (e *Engine) Run() {
 // RunUntil fires events with instants <= t, then advances the clock to t.
 func (e *Engine) RunUntil(t Time) {
 	for {
-		ev := e.peek()
-		if ev == nil || ev.at > t {
+		at, ok := e.peek()
+		if !ok || at > t {
 			break
 		}
 		e.Step()
@@ -318,12 +286,6 @@ func (e *Engine) RunUntil(t Time) {
 
 // NextAt returns the instant of the earliest pending (non-cancelled)
 // event. ok is false when no events remain. The clock does not advance
-// and no bucket is committed to execution, so events scheduled afterwards
+// and nothing is committed to execution, so events scheduled afterwards
 // for earlier instants still fire in order.
-func (e *Engine) NextAt() (t Time, ok bool) {
-	ev := e.peek()
-	if ev == nil {
-		return 0, false
-	}
-	return ev.at, true
-}
+func (e *Engine) NextAt() (t Time, ok bool) { return e.peek() }
