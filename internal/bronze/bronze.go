@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/descriptor"
 	"repro/internal/grid"
 	"repro/internal/rng"
 	"repro/internal/services"
@@ -150,40 +149,40 @@ func hash(s string) uint64 {
 
 // buildWorkflow constructs the Fig. 9 graph.
 func buildWorkflow(g *grid.Grid, r *rng.Source) (*workflow.Workflow, error) {
-	wrap := func(xml, name string, outSizes map[string]float64) (*services.Wrapper, error) {
-		d, err := descriptor.Parse([]byte(xml))
-		if err != nil {
-			return nil, fmt.Errorf("bronze: %s: %w", name, err)
-		}
-		return services.NewWrapper(g, d, model(name, r), outSizes)
+	descs, err := parsedDescriptors()
+	if err != nil {
+		return nil, err
+	}
+	wrap := func(name string, outSizes map[string]float64) (*services.Wrapper, error) {
+		return services.NewWrapper(g, descs[name], model(name, r), outSizes)
 	}
 
-	crestLines, err := wrap(crestLinesXML, "crestLines",
+	crestLines, err := wrap("crestLines",
 		map[string]float64{"crest_reference": crestSizeMB, "crest_floating": crestSizeMB})
 	if err != nil {
 		return nil, err
 	}
-	crestMatch, err := wrap(crestMatchXML, "crestMatch", map[string]float64{"transfo": transfoSizeMB})
+	crestMatch, err := wrap("crestMatch", map[string]float64{"transfo": transfoSizeMB})
 	if err != nil {
 		return nil, err
 	}
-	baladin, err := wrap(baladinXML, "Baladin", map[string]float64{"transfo": transfoSizeMB})
+	baladin, err := wrap("Baladin", map[string]float64{"transfo": transfoSizeMB})
 	if err != nil {
 		return nil, err
 	}
-	yasmina, err := wrap(yasminaXML, "Yasmina", map[string]float64{"transfo": transfoSizeMB})
+	yasmina, err := wrap("Yasmina", map[string]float64{"transfo": transfoSizeMB})
 	if err != nil {
 		return nil, err
 	}
-	pfMatch, err := wrap(pfMatchICPXML, "PFMatchICP", map[string]float64{"pairings": transfoSizeMB})
+	pfMatch, err := wrap("PFMatchICP", map[string]float64{"pairings": transfoSizeMB})
 	if err != nil {
 		return nil, err
 	}
-	pfRegister, err := wrap(pfRegisterXML, "PFRegister", map[string]float64{"transfo": transfoSizeMB})
+	pfRegister, err := wrap("PFRegister", map[string]float64{"transfo": transfoSizeMB})
 	if err != nil {
 		return nil, err
 	}
-	mtt, err := wrap(multiTransfoTestXML, "MultiTransfoTest",
+	mtt, err := wrap("MultiTransfoTest",
 		map[string]float64{"accuracy_translation": 0.01, "accuracy_rotation": 0.01})
 	if err != nil {
 		return nil, err

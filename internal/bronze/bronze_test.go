@@ -2,10 +2,12 @@ package bronze
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/services"
 )
 
 // smallParams shrinks the experiment for unit tests.
@@ -370,6 +372,47 @@ func TestExperimentReproducible(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("row %d differs across identical runs: %v vs %v", i, a[i], b[i])
+		}
+	}
+}
+
+// Builds share the process-wide parsed descriptors. Concurrent enactments
+// only read them (the race detector checks this), and each gets the same
+// result as a lone run.
+func TestConcurrentBuildsShareDescriptors(t *testing.T) {
+	a, b := mustBuild(t, 1), mustBuild(t, 1)
+	for i, p := range a.WF.Processors() {
+		wa, ok := p.Service.(*services.Wrapper)
+		if !ok {
+			continue
+		}
+		if wb := b.WF.Processors()[i].Service.(*services.Wrapper); wa.Descriptor() != wb.Descriptor() {
+			t.Errorf("%s: two builds parsed their own descriptors", p.Name)
+		}
+	}
+	opts := core.Options{DataParallelism: true, ServiceParallelism: true, JobGrouping: true}
+	want, _, err := Run(2, opts, smallParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	got := make([]time.Duration, 4)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, _, err := Run(2, opts, smallParams())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[i] = res.Makespan
+		}()
+	}
+	wg.Wait()
+	for i, m := range got {
+		if m != want.Makespan {
+			t.Errorf("concurrent run %d: makespan %v, want %v", i, m, want.Makespan)
 		}
 	}
 }

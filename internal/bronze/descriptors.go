@@ -1,5 +1,12 @@
 package bronze
 
+import (
+	"fmt"
+	"sync"
+
+	"repro/internal/descriptor"
+)
+
 // XML executable descriptors of the Bronze Standard codes, in the format
 // of paper Fig. 8. crestLinesXML is the paper's published example; the
 // others follow the same conventions (GFN access for images and
@@ -88,3 +95,27 @@ const (
 </executable>
 </description>`
 )
+
+// parsedDescriptors parses the seven descriptor documents once per process,
+// keyed by code name. Every Build shares the parsed descriptions, which is
+// safe because nothing writes a Description after Parse.
+var parsedDescriptors = sync.OnceValues(func() (map[string]*descriptor.Description, error) {
+	docs := []struct{ name, xml string }{
+		{"crestLines", crestLinesXML},
+		{"crestMatch", crestMatchXML},
+		{"Baladin", baladinXML},
+		{"Yasmina", yasminaXML},
+		{"PFMatchICP", pfMatchICPXML},
+		{"PFRegister", pfRegisterXML},
+		{"MultiTransfoTest", multiTransfoTestXML},
+	}
+	out := make(map[string]*descriptor.Description, len(docs))
+	for _, doc := range docs {
+		d, err := descriptor.Parse([]byte(doc.xml))
+		if err != nil {
+			return nil, fmt.Errorf("bronze: %s: %w", doc.name, err)
+		}
+		out[doc.name] = d
+	}
+	return out, nil
+})

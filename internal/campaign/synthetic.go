@@ -67,11 +67,7 @@ func SyntheticChainSized(n int, sizes []float64, runtime time.Duration, outMB fl
 		prev, prevPort := "src", workflow.SourcePort
 		for s := 0; s < n; s++ {
 			name := fmt.Sprintf("%s.stage%02d", tn, s)
-			d, err := stageDescriptor(name)
-			if err != nil {
-				return nil, nil, err
-			}
-			w, err := services.NewWrapper(t, d, services.ConstantRuntime(runtime),
+			w, err := services.NewWrapper(t, stageDescriptor(name), services.ConstantRuntime(runtime),
 				map[string]float64{"out": outMB})
 			if err != nil {
 				return nil, nil, err
@@ -99,15 +95,15 @@ func SyntheticChainSized(n int, sizes []float64, runtime time.Duration, outMB fl
 }
 
 // stageDescriptor builds the executable descriptor of one synthetic stage:
-// one GFN input, one GFN output.
-func stageDescriptor(name string) (*descriptor.Description, error) {
-	xml := fmt.Sprintf(`<description>
-<executable name=%q>
-<access type="URL"><path value="http://example.org"/></access>
-<value value="stage"/>
-<input name="in" option="-i"><access type="GFN"/></input>
-<output name="out" option="-o"><access type="GFN"/></output>
-</executable>
-</description>`, name)
-	return descriptor.Parse([]byte(xml))
+// one GFN input, one GFN output. It is a literal rather than a parsed XML
+// document because set-up builds one per stage of every tenant;
+// services.NewWrapper validates it.
+func stageDescriptor(name string) *descriptor.Description {
+	return &descriptor.Description{Executable: descriptor.Executable{
+		Name:    name,
+		Access:  &descriptor.Access{Type: descriptor.URL, Path: &descriptor.Path{Value: "http://example.org"}},
+		Value:   &descriptor.ValueElem{Value: "stage"},
+		Inputs:  []descriptor.Input{{Name: "in", Option: "-i", Access: &descriptor.Access{Type: descriptor.GFN}}},
+		Outputs: []descriptor.Output{{Name: "out", Option: "-o", Access: &descriptor.Access{Type: descriptor.GFN}}},
+	}}
 }

@@ -86,7 +86,9 @@ type Executable struct {
 	Sandboxes []Sandbox  `xml:"sandbox"`
 }
 
-// Description is the document root.
+// Description is the document root. No code writes a Description after
+// Parse or Validate, so one parsed description may be shared by every
+// wrapper of its code, across goroutines too.
 type Description struct {
 	XMLName    xml.Name   `xml:"description"`
 	Executable Executable `xml:"executable"`
@@ -132,12 +134,32 @@ func (d *Description) Validate() error {
 		names[name] = kind
 		return nil
 	}
+	// An unknown access type would otherwise pass silently: StageIns
+	// stages only GFN inputs, so a misspelt "gfn" input would reach the
+	// worker node for free, never checked against the catalog.
+	known := func(kind, name string, a *Access) error {
+		switch {
+		case a == nil, a.Type == URL, a.Type == GFN, a.Type == Local:
+			return nil
+		}
+		if name != "" {
+			kind = fmt.Sprintf("%s %q", kind, name)
+		}
+		return fmt.Errorf("descriptor %s: %s has unknown access type %q (want %s, %s or %s)",
+			e.Name, kind, a.Type, URL, GFN, Local)
+	}
+	if err := known("executable", "", e.Access); err != nil {
+		return err
+	}
 	for _, in := range e.Inputs {
 		if err := claim("input", in.Name); err != nil {
 			return err
 		}
 		if in.Option == "" {
 			return fmt.Errorf("descriptor %s: input %q has no command-line option", e.Name, in.Name)
+		}
+		if err := known("input", in.Name, in.Access); err != nil {
+			return err
 		}
 	}
 	for _, out := range e.Outputs {
@@ -150,6 +172,9 @@ func (d *Description) Validate() error {
 		if out.Access == nil {
 			return fmt.Errorf("descriptor %s: output %q has no access method", e.Name, out.Name)
 		}
+		if err := known("output", out.Name, out.Access); err != nil {
+			return err
+		}
 	}
 	for _, sb := range e.Sandboxes {
 		if err := claim("sandbox", sb.Name); err != nil {
@@ -157,6 +182,9 @@ func (d *Description) Validate() error {
 		}
 		if sb.Access == nil {
 			return fmt.Errorf("descriptor %s: sandbox %q has no access method", e.Name, sb.Name)
+		}
+		if err := known("sandbox", sb.Name, sb.Access); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -200,27 +228,42 @@ type Bindings struct {
 
 // CommandLine composes the actual command line from the descriptor and the
 // bindings, in declaration order — the dynamic composition the paper's
-// wrapper performs at service invocation time. Every declared input and
-// output must be bound.
+// wrapper performs at invocation time. Every declared input and output
+// must be bound. A first pass checks the bindings and sizes the line, so
+// the second writes it with a single allocation.
 func (d *Description) CommandLine(b Bindings) (string, error) {
 	e := &d.Executable
-	var parts []string
-	parts = append(parts, e.Name)
+	n := len(e.Name)
 	for _, in := range e.Inputs {
 		v, ok := b.Inputs[in.Name]
 		if !ok {
 			return "", fmt.Errorf("descriptor %s: input %q not bound", e.Name, in.Name)
 		}
-		parts = append(parts, in.Option, v)
+		n += 2 + len(in.Option) + len(v)
 	}
 	for _, out := range e.Outputs {
 		v, ok := b.Outputs[out.Name]
 		if !ok {
 			return "", fmt.Errorf("descriptor %s: output %q not bound", e.Name, out.Name)
 		}
-		parts = append(parts, out.Option, v)
+		n += 2 + len(out.Option) + len(v)
 	}
-	return strings.Join(parts, " "), nil
+	var sb strings.Builder
+	sb.Grow(n)
+	sb.WriteString(e.Name)
+	arg := func(option, v string) {
+		sb.WriteByte(' ')
+		sb.WriteString(option)
+		sb.WriteByte(' ')
+		sb.WriteString(v)
+	}
+	for _, in := range e.Inputs {
+		arg(in.Option, b.Inputs[in.Name])
+	}
+	for _, out := range e.Outputs {
+		arg(out.Option, b.Outputs[out.Name])
+	}
+	return sb.String(), nil
 }
 
 // StageIns returns the catalog names of the files that must be transferred

@@ -230,11 +230,72 @@ func TestValidateRejects(t *testing.T) {
 			`<description><executable name="x"><input option="-a"/></executable></description>`,
 			"empty name",
 		},
+		{
+			"lowercase input access type",
+			`<description><executable name="x">
+			 <input name="a" option="-a"><access type="gfn"/></input>
+			 </executable></description>`,
+			`descriptor x: input "a" has unknown access type "gfn"`,
+		},
+		{
+			"unknown output access type",
+			`<description><executable name="x">
+			 <output name="o" option="-o"><access type="FTP"/></output>
+			 </executable></description>`,
+			`descriptor x: output "o" has unknown access type "FTP"`,
+		},
+		{
+			"empty sandbox access type",
+			`<description><executable name="x">
+			 <sandbox name="s"><access type=""/></sandbox>
+			 </executable></description>`,
+			`descriptor x: sandbox "s" has unknown access type ""`,
+		},
+		{
+			"access without type on the executable",
+			`<description><executable name="x"><access/></executable></description>`,
+			`descriptor x: executable has unknown access type ""`,
+		},
 	}
 	for _, c := range cases {
 		if _, err := Parse([]byte(c.xml)); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want containing %q", c.name, err, c.want)
 		}
+	}
+}
+
+func TestValidateAcceptsEveryAccessType(t *testing.T) {
+	doc := `<description><executable name="x">
+	 <access type="URL"/>
+	 <input name="a" option="-a"><access type="GFN"/></input>
+	 <input name="b" option="-b"><access type="local"/></input>
+	 <output name="o" option="-o"><access type="GFN"/></output>
+	 <sandbox name="s"><access type="local"/></sandbox>
+	 </executable></description>`
+	d, err := Parse([]byte(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, err := d.StageIns(Bindings{Inputs: map[string]string{"a": "gfn://a", "b": "lib/b.so"}})
+	if err != nil || len(files) != 1 || files[0] != "gfn://a" {
+		t.Fatalf("StageIns = %v, %v; want only the GFN input", files, err)
+	}
+}
+
+// CommandLine reports the first unbound input before any unbound output,
+// and on success allocates only the returned string.
+func TestCommandLineErrorOrderAndAllocs(t *testing.T) {
+	d := parseFigure8(t)
+	_, err := d.CommandLine(Bindings{Inputs: map[string]string{"floating_image": "f", "scale": "1"}})
+	if err == nil || !strings.Contains(err.Error(), `input "reference_image" not bound`) {
+		t.Fatalf("err = %v, want the unbound input first", err)
+	}
+	bind := Bindings{
+		Inputs:  map[string]string{"floating_image": "f", "reference_image": "r", "scale": "1"},
+		Outputs: map[string]string{"crest_reference": "a", "crest_floating": "b"},
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = d.CommandLine(bind) }); n != 1 {
+		t.Errorf("CommandLine allocates %.0f objects, want 1", n)
 	}
 }
 

@@ -13,6 +13,7 @@ package provenance
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/arena"
@@ -109,20 +110,27 @@ func (t *Tracker) mint(value string, index []int, h *Node) *Item {
 // dot-product matching key. Constants (nil index) return "*": they align
 // with every index.
 func Key(index []int) string {
+	var buf [32]byte
+	return string(AppendKey(buf[:0], index))
+}
+
+// AppendKey appends Key(index) to dst and returns the extended buffer, so
+// callers that only look the key up, or build a longer name around it,
+// need not allocate the key string.
+func AppendKey(dst []byte, index []int) []byte {
 	if index == nil {
-		return "*"
+		return append(dst, '*')
 	}
 	if len(index) == 0 {
-		return "()"
+		return append(dst, "()"...)
 	}
-	var b strings.Builder
 	for i, v := range index {
 		if i > 0 {
-			b.WriteByte('.')
+			dst = append(dst, '.')
 		}
-		fmt.Fprintf(&b, "%d", v)
+		dst = strconv.AppendInt(dst, int64(v), 10)
 	}
-	return b.String()
+	return dst
 }
 
 // Key returns the item's dot-product matching key.

@@ -113,10 +113,14 @@ func TestKeyForms(t *testing.T) {
 		{[]int{0}, "0"},
 		{[]int{1, 2}, "1.2"},
 		{[]int{10, 0, 3}, "10.0.3"},
+		{[]int{-1, 123456789012}, "-1.123456789012"},
 	}
 	for _, c := range cases {
 		if got := Key(c.idx); got != c.want {
 			t.Errorf("Key(%v) = %q, want %q", c.idx, got, c.want)
+		}
+		if got := string(AppendKey([]byte("p/"), c.idx)); got != "p/"+c.want {
+			t.Errorf("AppendKey(%q, %v) = %q, want %q", "p/", c.idx, got, "p/"+c.want)
 		}
 	}
 }

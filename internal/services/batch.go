@@ -2,10 +2,11 @@ package services
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
+	"repro/internal/descriptor"
 	"repro/internal/grid"
-	"repro/internal/provenance"
 )
 
 // InvokeBatch submits several invocations of the same wrapped code as a
@@ -28,14 +29,20 @@ func (w *Wrapper) InvokeBatch(reqs []Request, done func([]Response)) {
 		return
 	}
 	var (
-		commands   []string
+		commands   = make([]string, len(reqs))
 		stageIns   []string
-		decls      []grid.FileDecl
+		decls      = make([]grid.FileDecl, 0, len(reqs)*len(w.outs))
 		runtime    time.Duration
 		outputSets = make([]map[string]string, len(reqs))
+		first      string
 	)
 	for i, req := range reqs {
-		bind, outputs := w.bind(req)
+		key, outputs, grown := w.bind(req, decls)
+		decls = grown
+		if i == 0 {
+			first = key
+		}
+		bind := descriptor.Bindings{Inputs: req.Inputs, Outputs: outputs}
 		cmd, err := w.desc.CommandLine(bind)
 		if err != nil {
 			done(failAll(len(reqs), err))
@@ -46,17 +53,14 @@ func (w *Wrapper) InvokeBatch(reqs []Request, done func([]Response)) {
 			done(failAll(len(reqs), err))
 			return
 		}
-		commands = append(commands, cmd)
+		commands[i] = cmd
 		stageIns = append(stageIns, stage...)
-		for name, gfn := range outputs {
-			decls = append(decls, grid.FileDecl{Name: gfn, SizeMB: w.outSizes[name]})
-		}
 		outputSets[i] = outputs
 		runtime += w.run(req)
 	}
 	spec := grid.JobSpec{
-		Name:    fmt.Sprintf("%s[batch:%d:%s]", w.Name(), len(reqs), provenance.Key(reqs[0].Index)),
-		Command: composeAll(commands),
+		Name:    w.Name() + "[batch:" + strconv.Itoa(len(reqs)) + ":" + first + "]",
+		Command: descriptor.Compose(commands...),
 		Inputs:  dedup(stageIns),
 		Outputs: decls,
 		Runtime: runtime,
@@ -81,12 +85,4 @@ func failAll(n int, err error) []Response {
 		resps[i].Err = err
 	}
 	return resps
-}
-
-func composeAll(commands []string) string {
-	out := commands[0]
-	for _, c := range commands[1:] {
-		out += " && " + c
-	}
-	return out
 }

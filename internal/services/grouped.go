@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/descriptor"
 	"repro/internal/grid"
-	"repro/internal/provenance"
 )
 
 // InternalRef points an input port of a group member at the output port of
@@ -41,7 +40,12 @@ type Grouped struct {
 	name    string
 	g       Submitter // first member's target: the group submits as that tenant
 	members []GroupMember
-	invoked map[string]int // per index key, for deterministic output names
+	// prefixes holds, per member and declared output, the prefix of the
+	// names minted for it: "gfn://<group>/<out>." for the last member's
+	// outputs, which are registered on the grid, and "tmp/<out>." for
+	// intermediates, which stay on the worker node.
+	prefixes [][]string
+	names    namer // per index key, for deterministic output names
 }
 
 // NewGrouped builds a grouped service. Members run in slice order; every
@@ -86,7 +90,17 @@ func NewGrouped(name string, members []GroupMember) (*Grouped, error) {
 			}
 		}
 	}
-	return &Grouped{name: name, g: sub, members: members, invoked: make(map[string]int)}, nil
+	prefixes := make([][]string, len(members))
+	for i, m := range members {
+		root := "tmp/"
+		if i == len(members)-1 {
+			root = "gfn://" + name + "/"
+		}
+		for _, o := range m.W.outs {
+			prefixes[i] = append(prefixes[i], root+o.name+".")
+		}
+	}
+	return &Grouped{name: name, g: sub, members: members, prefixes: prefixes, names: newNamer()}, nil
 }
 
 // Name implements Service.
@@ -119,9 +133,7 @@ func (gs *Grouped) OutputNames() []string {
 // from req.Inputs under their qualified names; intermediate results are
 // node-local temporary files.
 func (gs *Grouped) Invoke(req Request, done func(Response)) {
-	key := provenance.Key(req.Index)
-	seq := gs.invoked[key]
-	gs.invoked[key]++
+	key, seq := gs.names.next(req.Index)
 	last := len(gs.members) - 1
 
 	var (
@@ -148,16 +160,15 @@ func (gs *Grouped) Invoke(req Request, done func(Response)) {
 			}
 			inputs[in] = v
 		}
-		outputs := make(map[string]string, len(desc.Executable.Outputs))
-		for _, out := range desc.OutputNames() {
+		outputs := make(map[string]string, len(m.W.outs))
+		for j, o := range m.W.outs {
+			name := gs.names.mint(gs.prefixes[i][j], key, seq)
+			outputs[o.name] = name
 			if i == last {
-				// Final outputs are registered on the grid.
-				outputs[out] = fmt.Sprintf("gfn://%s/%s.%s.%d", gs.name, out, key, seq)
-				decls = append(decls, grid.FileDecl{Name: outputs[out], SizeMB: m.W.OutputSize(out)})
-			} else {
-				// Intermediates stay on the worker node: no transfer, no
-				// registration — the point of grouping.
-				outputs[out] = fmt.Sprintf("tmp/%s.%s.%d", out, key, seq)
+				// Final outputs are registered on the grid; intermediates
+				// stay on the worker node: no transfer, no registration —
+				// the point of grouping.
+				decls = append(decls, grid.FileDecl{Name: name, SizeMB: o.sizeMB})
 			}
 		}
 		perMember[i] = outputs
@@ -186,7 +197,7 @@ func (gs *Grouped) Invoke(req Request, done func(Response)) {
 	}
 
 	spec := grid.JobSpec{
-		Name:    fmt.Sprintf("%s[%s]", gs.name, key),
+		Name:    gs.name + "[" + key + "]",
 		Command: descriptor.Compose(commands...),
 		Inputs:  dedup(stageIns),
 		Outputs: decls,

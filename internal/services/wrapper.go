@@ -2,6 +2,7 @@ package services
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/descriptor"
 	"repro/internal/grid"
@@ -17,13 +18,22 @@ type Wrapper struct {
 	g    Submitter
 	desc *descriptor.Description
 	run  RuntimeModel
-	// outSizes gives the size in MB of each produced file (by output name).
-	outSizes map[string]float64
-	// invoked counts invocations per index key, so output GFNs are unique
+	// outs are the declared outputs in descriptor order: the order the
+	// job registers them in, which decides eviction victims and repair
+	// order downstream, so it must not depend on map iteration.
+	outs []output
+	// names counts invocations per index key, so output GFNs are unique
 	// yet deterministic: re-running the same workflow under different
 	// optimization settings produces identical output names, which is how
 	// tests assert that optimizations change timing but never results.
-	invoked map[string]int
+	names namer
+}
+
+// output is one declared output with what its minted GFNs share.
+type output struct {
+	name   string
+	prefix string // "gfn://<exe>/<out>."
+	sizeMB float64
 }
 
 // NewWrapper builds a generic wrapper around the descriptor. outSizes maps
@@ -34,15 +44,19 @@ func NewWrapper(g Submitter, desc *descriptor.Description, run RuntimeModel, out
 	if err := desc.Validate(); err != nil {
 		return nil, err
 	}
+	exe := desc.Executable.Name
 	if run == nil {
-		return nil, fmt.Errorf("services: wrapper %s: nil runtime model", desc.Executable.Name)
+		return nil, fmt.Errorf("services: wrapper %s: nil runtime model", exe)
 	}
-	for _, out := range desc.OutputNames() {
-		if _, ok := outSizes[out]; !ok {
-			return nil, fmt.Errorf("services: wrapper %s: no size for output %q", desc.Executable.Name, out)
+	outs := make([]output, len(desc.Executable.Outputs))
+	for i, o := range desc.Executable.Outputs {
+		mb, ok := outSizes[o.Name]
+		if !ok {
+			return nil, fmt.Errorf("services: wrapper %s: no size for output %q", exe, o.Name)
 		}
+		outs[i] = output{name: o.Name, prefix: "gfn://" + exe + "/" + o.Name + ".", sizeMB: mb}
 	}
-	return &Wrapper{g: g, desc: desc, run: run, outSizes: outSizes, invoked: make(map[string]int)}, nil
+	return &Wrapper{g: g, desc: desc, run: run, outs: outs, names: newNamer()}, nil
 }
 
 // Name implements Service; the service is named after the wrapped code.
@@ -56,7 +70,14 @@ func (w *Wrapper) Descriptor() *descriptor.Description { return w.desc }
 func (w *Wrapper) Runtime() RuntimeModel { return w.run }
 
 // OutputSize returns the declared size of the named output.
-func (w *Wrapper) OutputSize(name string) float64 { return w.outSizes[name] }
+func (w *Wrapper) OutputSize(name string) float64 {
+	for _, o := range w.outs {
+		if o.name == name {
+			return o.sizeMB
+		}
+	}
+	return 0
+}
 
 // Catalog returns the replica catalog this wrapper's jobs stage from and
 // register into.
@@ -67,22 +88,24 @@ func (w *Wrapper) Catalog() *grid.Catalog { return w.g.Catalog() }
 // their first member's target, preserving tenancy.
 func (w *Wrapper) Submitter() Submitter { return w.g }
 
-// bind chooses fresh output GFNs and composes the bindings for one
-// invocation.
-func (w *Wrapper) bind(req Request) (descriptor.Bindings, map[string]string) {
-	key := provenance.Key(req.Index)
-	n := w.invoked[key]
-	w.invoked[key]++
-	outputs := make(map[string]string, len(w.desc.Executable.Outputs))
-	for _, out := range w.desc.OutputNames() {
-		outputs[out] = fmt.Sprintf("gfn://%s/%s.%s.%d", w.Name(), out, key, n)
+// bind chooses fresh output GFNs for one invocation. It returns the
+// invocation's index key, the outputs by name, and decls extended with
+// the outputs' declarations in descriptor order.
+func (w *Wrapper) bind(req Request, decls []grid.FileDecl) (string, map[string]string, []grid.FileDecl) {
+	key, seq := w.names.next(req.Index)
+	outputs := make(map[string]string, len(w.outs))
+	for _, o := range w.outs {
+		gfn := w.names.mint(o.prefix, key, seq)
+		outputs[o.name] = gfn
+		decls = append(decls, grid.FileDecl{Name: gfn, SizeMB: o.sizeMB})
 	}
-	return descriptor.Bindings{Inputs: req.Inputs, Outputs: outputs}, outputs
+	return key, outputs, decls
 }
 
 // Invoke implements Service: one invocation is one grid job.
 func (w *Wrapper) Invoke(req Request, done func(Response)) {
-	bind, outputs := w.bind(req)
+	key, outputs, decls := w.bind(req, make([]grid.FileDecl, 0, len(w.outs)))
+	bind := descriptor.Bindings{Inputs: req.Inputs, Outputs: outputs}
 	cmd, err := w.desc.CommandLine(bind)
 	if err != nil {
 		done(Response{Err: err})
@@ -93,12 +116,8 @@ func (w *Wrapper) Invoke(req Request, done func(Response)) {
 		done(Response{Err: err})
 		return
 	}
-	decls := make([]grid.FileDecl, 0, len(outputs))
-	for name, gfn := range outputs {
-		decls = append(decls, grid.FileDecl{Name: gfn, SizeMB: w.outSizes[name]})
-	}
 	spec := grid.JobSpec{
-		Name:    fmt.Sprintf("%s[%s]", w.Name(), provenance.Key(req.Index)),
+		Name:    w.Name() + "[" + key + "]",
 		Command: cmd,
 		Inputs:  stage,
 		Outputs: decls,
@@ -113,6 +132,36 @@ func (w *Wrapper) Invoke(req Request, done func(Response)) {
 		}
 		done(resp)
 	})
+}
+
+// namer mints a service's deterministic per-invocation names: the
+// invocation's index key, a sequence number counting earlier invocations
+// of that key, and names built from both. Its scratch buffer is reused,
+// so minting allocates only the strings it returns.
+type namer struct {
+	invoked map[string]int
+	buf     []byte
+}
+
+func newNamer() namer { return namer{invoked: make(map[string]int)} }
+
+// next returns the key of index and the number of earlier invocations
+// under that key, and counts this one.
+func (n *namer) next(index []int) (key string, seq int) {
+	n.buf = provenance.AppendKey(n.buf[:0], index)
+	seq = n.invoked[string(n.buf)]
+	key = string(n.buf)
+	n.invoked[key] = seq + 1
+	return key, seq
+}
+
+// mint returns prefix + key + "." + seq.
+func (n *namer) mint(prefix, key string, seq int) string {
+	n.buf = append(n.buf[:0], prefix...)
+	n.buf = append(n.buf, key...)
+	n.buf = append(n.buf, '.')
+	n.buf = strconv.AppendInt(n.buf, int64(seq), 10)
+	return string(n.buf)
 }
 
 // ensure interface satisfaction
