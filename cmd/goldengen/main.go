@@ -2,8 +2,9 @@
 // suite pins, as Go table rows ready to paste:
 //
 //   - for the Table 1 configurations (internal/bronze goldenFingerprints):
-//     per (config, size), the simulated makespan in nanoseconds and an
-//     FNV-1a hash over the full invocation trace and sink outputs;
+//     per (config, size), the simulated makespan in nanoseconds and
+//     bronze.TraceFingerprint, an FNV-1a hash over the full invocation
+//     trace and sink outputs;
 //   - for the scenario library (internal/scenario libraryGolden): per
 //     scenarios/*.json spec, its scenario.Fingerprint.
 //
@@ -13,7 +14,6 @@ package main
 
 import (
 	"fmt"
-	"hash/fnv"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -32,17 +32,7 @@ func main() {
 			if err != nil {
 				panic(err)
 			}
-			h := fnv.New64a()
-			for _, inv := range res.Trace.Invocations {
-				fmt.Fprintf(h, "%s|%s|%d|%d|%d;", inv.Processor, inv.Key(),
-					inv.Ready, inv.Started, inv.Finished)
-			}
-			for _, sink := range []string{"accuracy_translation", "accuracy_rotation"} {
-				for _, v := range res.Outputs[sink] {
-					fmt.Fprintf(h, "%s;", v)
-				}
-			}
-			fmt.Printf("{%q, %d, %d, %#x},\n", cfg.Name, size, res.Makespan, h.Sum64())
+			fmt.Printf("{%q, %d, %d, %#x},\n", cfg.Name, size, res.Makespan, bronze.TraceFingerprint(res))
 		}
 	}
 	fmt.Println()

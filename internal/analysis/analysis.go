@@ -85,3 +85,22 @@ func (p *Pass) SourceFiles() []*ast.File {
 	}
 	return out
 }
+
+// Critical reports whether pkgPath is one of the simulation-critical
+// packages the determinism analyzers (maprange, simtime) police: the
+// event engine, the grid model, the federation broker, the campaign
+// layer, the enactor core and the scenario compiler. Everything those
+// packages do can leak into event order, golden fingerprints, or
+// replayed statistics.
+func Critical(pkgPath string) bool {
+	switch pkgPath {
+	case "repro/internal/sim",
+		"repro/internal/grid",
+		"repro/internal/federation",
+		"repro/internal/campaign",
+		"repro/internal/core",
+		"repro/internal/scenario":
+		return true
+	}
+	return false
+}

@@ -27,29 +27,8 @@ import (
 	"repro/internal/analysis"
 )
 
-// DefaultCritical reports whether pkgPath is one of the simulation-
-// critical packages in which map iteration is policed: the event engine,
-// the grid model, the federation broker, the campaign layer and the
-// enactor core. Everything those packages do can leak into event order,
-// golden fingerprints, or replayed statistics.
-func DefaultCritical(pkgPath string) bool {
-	for _, p := range []string{
-		"repro/internal/sim",
-		"repro/internal/grid",
-		"repro/internal/federation",
-		"repro/internal/campaign",
-		"repro/internal/core",
-		"repro/internal/scenario",
-	} {
-		if pkgPath == p {
-			return true
-		}
-	}
-	return false
-}
-
-// Analyzer is the maprange check gated on DefaultCritical.
-var Analyzer = New(DefaultCritical)
+// Analyzer is the maprange check gated on analysis.Critical.
+var Analyzer = New(analysis.Critical)
 
 // New builds a maprange analyzer with a custom package gate; the
 // fixture tests use this to point the check at testdata packages.

@@ -14,28 +14,3 @@ func TestMapRange(t *testing.T) {
 	a := New(func(pkgPath string) bool { return pkgPath == "mapcrit" })
 	analysistest.Run(t, "../testdata", a, "mapcrit", "mapclean")
 }
-
-// TestDefaultCritical pins the gated package set.
-func TestDefaultCritical(t *testing.T) {
-	for _, p := range []string{
-		"repro/internal/sim",
-		"repro/internal/grid",
-		"repro/internal/federation",
-		"repro/internal/campaign",
-		"repro/internal/core",
-	} {
-		if !DefaultCritical(p) {
-			t.Errorf("DefaultCritical(%q) = false, want true", p)
-		}
-	}
-	for _, p := range []string{
-		"repro",
-		"repro/internal/rng",
-		"repro/internal/metrics",
-		"repro/internal/grid/sub", // only the exact packages are gated
-	} {
-		if DefaultCritical(p) {
-			t.Errorf("DefaultCritical(%q) = true, want false", p)
-		}
-	}
-}

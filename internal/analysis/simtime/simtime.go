@@ -42,23 +42,18 @@ var bannedImports = map[string]string{
 	"math/rand/v2": "internal/rng",
 }
 
-// Analyzer is the simtime check gated on the same critical-package set
-// as maprange.
-var Analyzer = New(nil)
+// Analyzer is the simtime check gated on analysis.Critical.
+var Analyzer = New(analysis.Critical)
 
-// New builds a simtime analyzer with a custom package gate (nil means
-// the default simulation-critical set shared with maprange).
+// New builds a simtime analyzer with a custom package gate; the fixture
+// tests use this to point the check at testdata packages.
 func New(critical func(pkgPath string) bool) *analysis.Analyzer {
 	a := &analysis.Analyzer{
 		Name: "simtime",
 		Doc:  "forbid wall-clock time, math/rand and order-leaking fmt output in simulation-critical packages; use sim.Engine time and internal/rng streams",
 	}
 	a.Run = func(pass *analysis.Pass) error {
-		gate := critical
-		if gate == nil {
-			gate = defaultCritical
-		}
-		if !gate(pass.Pkg.Path()) {
+		if !critical(pass.Pkg.Path()) {
 			return nil
 		}
 		for _, file := range pass.SourceFiles() {
@@ -67,24 +62,6 @@ func New(critical func(pkgPath string) bool) *analysis.Analyzer {
 		return nil
 	}
 	return a
-}
-
-// defaultCritical mirrors maprange.DefaultCritical; duplicated here to
-// keep the two analyzers independently importable.
-func defaultCritical(pkgPath string) bool {
-	for _, p := range []string{
-		"repro/internal/sim",
-		"repro/internal/grid",
-		"repro/internal/federation",
-		"repro/internal/campaign",
-		"repro/internal/core",
-		"repro/internal/scenario",
-	} {
-		if pkgPath == p {
-			return true
-		}
-	}
-	return false
 }
 
 // checkFile reports banned imports, wall-clock calls, and fmt prints

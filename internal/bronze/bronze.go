@@ -17,6 +17,7 @@ package bronze
 
 import (
 	"fmt"
+	"hash/fnv"
 	"time"
 
 	"repro/internal/core"
@@ -270,4 +271,23 @@ func Run(nPairs int, opts core.Options, p Params) (*core.Result, *App, error) {
 		return nil, nil, err
 	}
 	return res, app, nil
+}
+
+// TraceFingerprint hashes a run's complete execution with FNV-1a: every
+// invocation's processor, index key and Ready/Started/Finished instants,
+// then the outputs of both sinks in arrival order. The Table 1 golden
+// determinism test pins it per configuration and size, and cmd/goldengen
+// prints it.
+func TraceFingerprint(res *core.Result) uint64 {
+	h := fnv.New64a()
+	for _, inv := range res.Trace.Invocations {
+		fmt.Fprintf(h, "%s|%s|%d|%d|%d;", inv.Processor, inv.Key(),
+			inv.Ready, inv.Started, inv.Finished)
+	}
+	for _, sink := range []string{"accuracy_translation", "accuracy_rotation"} {
+		for _, v := range res.Outputs[sink] {
+			fmt.Fprintf(h, "%s;", v)
+		}
+	}
+	return h.Sum64()
 }

@@ -2,7 +2,6 @@ package bronze
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"testing"
 	"time"
@@ -78,17 +77,7 @@ func TestGoldenDeterminism(t *testing.T) {
 				t.Errorf("makespan = %d (%v), golden %d (%v)",
 					res.Makespan, res.Makespan, g.makespan, g.makespan)
 			}
-			h := fnv.New64a()
-			for _, inv := range res.Trace.Invocations {
-				fmt.Fprintf(h, "%s|%s|%d|%d|%d;", inv.Processor, inv.Key(),
-					inv.Ready, inv.Started, inv.Finished)
-			}
-			for _, sink := range []string{"accuracy_translation", "accuracy_rotation"} {
-				for _, v := range res.Outputs[sink] {
-					fmt.Fprintf(h, "%s;", v)
-				}
-			}
-			if got := h.Sum64(); got != g.hash {
+			if got := TraceFingerprint(res); got != g.hash {
 				t.Errorf("trace fingerprint = %#x, golden %#x", got, g.hash)
 			}
 		})

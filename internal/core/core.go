@@ -21,8 +21,9 @@
 // re-evaluates only the gates and queues of the processors whose state it
 // could have changed — the finishing processor itself, the consumers it
 // delivered to, and (once it drains) its successors and constraint
-// dependents — instead of sweeping the whole graph after every event. All
-// graph queries go through a workflow.Topology built once at construction.
+// dependents — instead of sweeping the whole graph after every event. New
+// resolves the workflow graph once into direct per-processor state
+// pointers, so no per-event code queries the workflow.
 package core
 
 import (
@@ -99,7 +100,6 @@ var ErrStalled = errors.New("core: workflow execution stalled")
 type Enactor struct {
 	eng  *sim.Engine
 	wf   *workflow.Workflow
-	topo *workflow.Topology
 	opts Options
 
 	tracker *provenance.Tracker
@@ -206,7 +206,7 @@ type procState struct {
 	open     bool // admission allowed (barrier/constraint gate)
 	dirty    bool // queued in Enactor.dirty
 
-	// Precomputed topology views (built once in New):
+	// Graph views resolved to state pointers (built once in New):
 	routes            map[string][]route // out port → consumers, link order
 	ports             []string           // input ports, sorted (request order)
 	constraintBefores []*procState       // Before of each constraint gating this proc
@@ -245,7 +245,6 @@ func New(eng *sim.Engine, wf *workflow.Workflow, opts Options) (*Enactor, error)
 	e := &Enactor{
 		eng:      eng,
 		wf:       wf,
-		topo:     wf.Topology(),
 		opts:     opts,
 		tracker:  provenance.NewTracker(),
 		procs:    make(map[string]*procState),
@@ -278,32 +277,35 @@ func New(eng *sim.Engine, wf *workflow.Workflow, opts Options) (*Enactor, error)
 		e.procs[p.Name] = st
 		e.states = append(e.states, st)
 	}
-	// Second pass: resolve the topology views to direct state pointers so
-	// the hot path never touches a map or rescans links.
+	// Second pass: resolve the graph to direct state pointers so the hot
+	// path never touches a map or rescans links.
 	for _, st := range e.states {
 		name := st.p.Name
-		for _, l := range e.topo.Outgoing(name) {
+		for _, l := range wf.Outgoing(name) {
 			if st.routes == nil {
 				st.routes = make(map[string][]route)
 			}
 			st.routes[l.FromPort] = append(st.routes[l.FromPort], route{e.procs[l.ToProc], l.ToPort})
 		}
-		for _, c := range e.topo.ConstraintsAfter(name) {
-			st.constraintBefores = append(st.constraintBefores, e.procs[c.Before])
+		for _, c := range wf.Constraints {
+			if c.After == name {
+				st.constraintBefores = append(st.constraintBefores, e.procs[c.Before])
+			}
 		}
-		for _, pn := range e.topo.Predecessors(name) {
+		for _, pn := range wf.Predecessors(name) {
 			st.allPreds = append(st.allPreds, e.procs[pn])
 		}
-		for _, sn := range e.topo.Successors(name) {
+		for _, sn := range wf.Successors(name) {
 			st.downstream = append(st.downstream, e.procs[sn])
 		}
 		if st.p.Synchronization {
 			// Ancestors returns a set; iterate it in sorted order so the
 			// syncAncestors slice is identical across runs even if a
 			// future consumer becomes order-sensitive.
-			ancs := make([]string, 0, len(e.topo.Ancestors(name)))
+			set := wf.Ancestors(name)
+			ancs := make([]string, 0, len(set))
 			//moteur:orderinvariant keys are sorted immediately after collection
-			for anc := range e.topo.Ancestors(name) {
+			for anc := range set {
 				ancs = append(ancs, anc)
 			}
 			sort.Strings(ancs)

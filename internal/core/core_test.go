@@ -587,3 +587,24 @@ func TestRerunSameWorkflowDefinition(t *testing.T) {
 		}
 	}
 }
+
+// TestNewAllocBudget guards the enactor's set-up cost: New resolves the
+// workflow graph straight into per-processor state, with no intermediate
+// index, so building an enactor for a source → 3 services → sink chain
+// stays within a fixed allocation budget: 75 objects measured, plus
+// about 10 %.
+func TestNewAllocBudget(t *testing.T) {
+	eng := sim.NewEngine()
+	w := localChain(eng, constT(3, 1, time.Second))
+	opts := Options{DataParallelism: true, ServiceParallelism: true}
+	n := testing.AllocsPerRun(100, func() {
+		if _, err := New(eng, w, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const budget = 82
+	if n > budget {
+		t.Fatalf("core.New allocates %.0f objects for a 3-stage chain (budget %d)", n, budget)
+	}
+	t.Logf("core.New: %.0f allocs (budget %d)", n, budget)
+}

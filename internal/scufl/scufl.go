@@ -121,13 +121,22 @@ func Parse(data []byte, opts Options) (*workflow.Workflow, error) {
 	}
 	w := workflow.New(doc.Name)
 	for _, s := range doc.Sources {
+		if err := checkName(w, s.Name); err != nil {
+			return nil, err
+		}
 		w.AddSource(s.Name)
 	}
 	for _, s := range doc.Sinks {
+		if err := checkName(w, s.Name); err != nil {
+			return nil, err
+		}
 		w.AddSink(s.Name)
 	}
 	jitterSeed := opts.Seed
 	for _, p := range doc.Processors {
+		if err := checkName(w, p.Name); err != nil {
+			return nil, err
+		}
 		proc := &workflow.Processor{
 			Name:            p.Name,
 			Kind:            workflow.KindService,
@@ -178,6 +187,19 @@ func Parse(data []byte, opts Options) (*workflow.Workflow, error) {
 		return nil, err
 	}
 	return w, nil
+}
+
+// checkName rejects a processor name that workflow.Add would panic on: an
+// empty name, or one already taken. Sources, sinks and processors share
+// one namespace.
+func checkName(w *workflow.Workflow, name string) error {
+	if name == "" {
+		return fmt.Errorf("scufl: workflow %s: processor with empty name", w.Name)
+	}
+	if _, dup := w.Proc(name); dup {
+		return fmt.Errorf("scufl: workflow %s: duplicate processor %s", w.Name, name)
+	}
+	return nil
 }
 
 // bindService resolves the processor's service: an embedded wrapper when

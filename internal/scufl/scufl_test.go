@@ -160,6 +160,9 @@ func TestParseErrors(t *testing.T) {
 		{"wrapper without grid", `<scufl><source name="s"/><processor name="W"><inport name="in"/><wrapper runtime="1s"><description><executable name="x"><input name="in" option="-i"/></executable></description></wrapper></processor><link from="s:out" to="W:in"/></scufl>`, "no grid"},
 		{"bad runtime", `<scufl><source name="s"/><processor name="W"><inport name="in"/><wrapper runtime="fast"><description><executable name="x"><input name="in" option="-i"/></executable></description></wrapper></processor><link from="s:out" to="W:in"/></scufl>`, "bad runtime"},
 		{"invalid workflow", `<scufl><processor name="P1"><inport name="in"/></processor></scufl>`, "not fed"},
+		{"duplicate source", `<scufl name="w"><source name="a"/><source name="a"/></scufl>`, "scufl: workflow w: duplicate processor a"},
+		{"empty name", `<scufl name="w"><source/></scufl>`, "scufl: workflow w: processor with empty name"},
+		{"processor named like a source", `<scufl name="w"><source name="a"/><processor name="a"><inport name="in"/></processor></scufl>`, "scufl: workflow w: duplicate processor a"},
 	}
 	for _, c := range cases {
 		opts := Options{Registry: reg}

@@ -102,9 +102,10 @@ func validateStrategyCoverage(p *Processor, s interface{ Ports() []string }) err
 	return nil
 }
 
-// HasCycle reports whether the data-link graph contains a cycle. Cycles
-// are legal in service-based workflows (Fig. 2) but require streaming
-// (service-parallel) execution and make static analyses inapplicable.
+// HasCycle reports whether the combined data-link and constraint graph
+// contains a cycle. Cycles are legal in service-based workflows (Fig. 2)
+// but require streaming (service-parallel) execution and make static
+// analyses inapplicable.
 func (w *Workflow) HasCycle() bool {
 	const (
 		white = 0
@@ -134,6 +135,10 @@ func (w *Workflow) HasCycle() bool {
 		}
 	}
 	return false
+}
+
+func errCycle(w *Workflow) error {
+	return fmt.Errorf("workflow %s: graph has a cycle", w.Name)
 }
 
 // TopoOrder returns processor names in a topological order of the combined

@@ -1,11 +1,14 @@
 package workflow
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/iterstrat"
+	"repro/internal/rng"
 	"repro/internal/services"
 )
 
@@ -181,6 +184,180 @@ func TestAncestorsOnCyclicGraph(t *testing.T) {
 	}
 	if anc["A"] {
 		t.Fatal("node counted as its own ancestor")
+	}
+}
+
+// TestTopologyAncestorsCyclic pins the ancestor walk on an explicit
+// three-node loop (Fig. 2 shape): every node of a cycle is an ancestor of
+// every other, and no node is its own ancestor.
+func TestTopologyAncestorsCyclic(t *testing.T) {
+	w := New("loop")
+	for _, n := range []string{"A", "B", "C"} {
+		w.AddService(n, svc(n), []string{"in"}, []string{"out"})
+	}
+	w.Connect("A", "out", "B", "in")
+	w.Connect("B", "out", "C", "in")
+	w.Connect("C", "out", "A", "in")
+	for _, n := range []string{"A", "B", "C"} {
+		anc := w.Ancestors(n)
+		if len(anc) != 2 || anc[n] {
+			t.Fatalf("Ancestors(%s) = %v, want the two other cycle members", n, anc)
+		}
+	}
+}
+
+// randomGraph builds a random workflow graph: a mix of sources, sinks and
+// two-in/two-out service processors, random links (cycles allowed), random
+// constraints, and occasionally dangling endpoints (which the accessors
+// tolerate). Services are left without Service implementations: the graph
+// accessors never invoke them.
+func randomGraph(r *rng.Source) *Workflow {
+	w := New("random")
+	n := 2 + r.Intn(12)
+	for i := 0; i < n; i++ {
+		switch r.Intn(4) {
+		case 0:
+			w.AddSource(fmt.Sprintf("P%d", i))
+		case 1:
+			w.AddSink(fmt.Sprintf("P%d", i))
+		default:
+			w.Add(&Processor{
+				Name:     fmt.Sprintf("P%d", i),
+				Kind:     KindService,
+				InPorts:  []string{"a", "b"},
+				OutPorts: []string{"x", "y"},
+			})
+		}
+	}
+	procs := w.Processors()
+	pick := func() *Processor { return procs[r.Intn(len(procs))] }
+	port := func(ports []string) string {
+		if len(ports) == 0 {
+			return "none"
+		}
+		return ports[r.Intn(len(ports))]
+	}
+	nLinks := r.Intn(3 * n)
+	for i := 0; i < nLinks; i++ {
+		from, to := pick(), pick()
+		w.Connect(from.Name, port(from.OutPorts), to.Name, port(to.InPorts))
+	}
+	if r.Intn(4) == 0 { // dangling endpoints
+		w.Connect("ghost-producer", "x", pick().Name, "a")
+		w.Connect(pick().Name, "x", "ghost-consumer", "a")
+	}
+	nCons := r.Intn(n)
+	for i := 0; i < nCons; i++ {
+		w.Constrain(pick().Name, pick().Name)
+	}
+	if r.Intn(4) == 0 {
+		w.Constrain("ghost-before", pick().Name)
+		w.Constrain(pick().Name, "ghost-after")
+	}
+	return w
+}
+
+// TestTopologyMatchesNaive checks, on randomized graphs (cyclic and
+// acyclic, with occasional dangling endpoints), the graph accessors the
+// enactor resolves its state from against naive scans of the links and
+// constraints: Outgoing keeps link order, Predecessors and Successors are
+// the sorted distinct ends of links plus constraints and mutually inverse,
+// and Ancestors is the closure of Predecessors.
+func TestTopologyMatchesNaive(t *testing.T) {
+	for seed := uint64(1); seed <= 200; seed++ {
+		w := randomGraph(rng.New(seed))
+		preds := make(map[string]map[string]bool)
+		succs := make(map[string]map[string]bool)
+		edge := func(from, to string) {
+			if preds[to] == nil {
+				preds[to] = make(map[string]bool)
+			}
+			if succs[from] == nil {
+				succs[from] = make(map[string]bool)
+			}
+			preds[to][from], succs[from][to] = true, true
+		}
+		for _, l := range w.Links {
+			edge(l.FromProc, l.ToProc)
+		}
+		for _, c := range w.Constraints {
+			edge(c.Before, c.After)
+		}
+		for _, p := range w.Processors() {
+			name := p.Name
+			var out []Link
+			for _, l := range w.Links {
+				if l.FromProc == name {
+					out = append(out, l)
+				}
+			}
+			if got := w.Outgoing(name); !slices.Equal(got, out) {
+				t.Fatalf("seed %d: Outgoing(%s) = %v, want %v", seed, name, got, out)
+			}
+			gotPreds := w.Predecessors(name)
+			if want := sortedKeys(preds[name]); !slices.Equal(gotPreds, want) {
+				t.Fatalf("seed %d: Predecessors(%s) = %v, want %v", seed, name, gotPreds, want)
+			}
+			gotSuccs := w.Successors(name)
+			if want := sortedKeys(succs[name]); !slices.Equal(gotSuccs, want) {
+				t.Fatalf("seed %d: Successors(%s) = %v, want %v", seed, name, gotSuccs, want)
+			}
+			for _, q := range gotPreds {
+				if !slices.Contains(w.Successors(q), name) {
+					t.Fatalf("seed %d: %s precedes %s but Successors(%s) = %v", seed, q, name, q, w.Successors(q))
+				}
+			}
+			for _, q := range gotSuccs {
+				if !slices.Contains(w.Predecessors(q), name) {
+					t.Fatalf("seed %d: %s follows %s but Predecessors(%s) = %v", seed, q, name, q, w.Predecessors(q))
+				}
+			}
+			closure := make(map[string]bool)
+			stack := append([]string(nil), gotPreds...)
+			for len(stack) > 0 {
+				n := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				if !closure[n] {
+					closure[n] = true
+					stack = append(stack, w.Predecessors(n)...)
+				}
+			}
+			delete(closure, name)
+			if got := w.Ancestors(name); !slices.Equal(sortedKeys(got), sortedKeys(closure)) {
+				t.Fatalf("seed %d: Ancestors(%s) = %v, want %v", seed, name, sortedKeys(got), sortedKeys(closure))
+			}
+		}
+	}
+}
+
+// TestTopologyUnknownName checks the graph accessors give empty answers
+// for names that are not in the workflow, on a fixed workflow and on the
+// randomized graphs.
+func TestTopologyUnknownName(t *testing.T) {
+	w := New("w")
+	w.AddSource("src")
+	if got := w.Outgoing("nope"); len(got) != 0 {
+		t.Fatalf("Outgoing(unknown) = %v", got)
+	}
+	if got := w.Incoming("nope"); len(got) != 0 {
+		t.Fatalf("Incoming(unknown) = %v", got)
+	}
+	if got := w.Predecessors("nope"); len(got) != 0 {
+		t.Fatalf("Predecessors(unknown) = %v", got)
+	}
+	if got := w.Ancestors("nope"); len(got) != 0 {
+		t.Fatalf("Ancestors(unknown) = %v", got)
+	}
+	if _, ok := w.Proc("nope"); ok {
+		t.Fatal("Proc(unknown) reported ok")
+	}
+	for seed := uint64(1); seed <= 200; seed++ {
+		w := randomGraph(rng.New(seed))
+		const unknown = "unknown"
+		if n := len(w.Outgoing(unknown)) + len(w.Predecessors(unknown)) +
+			len(w.Successors(unknown)) + len(w.Ancestors(unknown)); n != 0 {
+			t.Fatalf("seed %d: unknown name has %d graph neighbours", seed, n)
+		}
 	}
 }
 
