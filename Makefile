@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint scenarios daemon-smoke bench-smoke bench campaign-bench scenario-bench clean help
+.PHONY: all build test vet lint scenarios daemon-smoke bench-smoke scenario-bench clean help
 
 all: vet lint build test
 
@@ -63,17 +63,6 @@ daemon-smoke:
 bench-smoke:
 	cd bench && $(GO) test ./...
 
-# Full benchmark suite (paper tables, ablations, enactor scaling) with
-# allocation stats; the raw output is kept for cross-change comparison.
-bench:
-	$(GO) test -bench . -benchmem -run '^$$' . | tee BENCH_1.json
-
-# Multi-tenant campaign benchmark (32 tenants on one shared grid); two
-# iterations so the in-benchmark determinism assertion actually compares
-# runs.
-campaign-bench:
-	$(GO) test -bench BenchmarkCampaignScale -benchmem -benchtime 2x -run '^$$' . | tee BENCH_2.json
-
 # Scenario benchmarks: one BenchmarkScenario/<name> sub-benchmark per
 # scenarios/*.json world (the hetero-* federation worlds, the metropolis
 # 100k-job tier, storage churn, ...); two iterations so the in-benchmark
@@ -82,7 +71,6 @@ scenario-bench:
 	$(GO) test -bench BenchmarkScenario -benchmem -benchtime 2x -run '^$$' .
 
 clean:
-	rm -f BENCH_1.json BENCH_2.json
 	rm -rf bin
 
 help:
@@ -95,7 +83,5 @@ help:
 	@echo "  scenarios        run the scenarios/*.json library, one results row each"
 	@echo "  daemon-smoke     boot moteurd, submit over HTTP, scrape /metrics, snapshot"
 	@echo "  bench-smoke      bench/ module tests, every workload briefly (~6 s)"
-	@echo "  bench            full paper suite                      -> BENCH_1.json"
-	@echo "  campaign-bench   32-tenant shared-grid campaign        -> BENCH_2.json"
 	@echo "  scenario-bench   every scenarios/*.json world, 2 iterations each"
-	@echo "  clean            remove BENCH_*.json and bin/"
+	@echo "  clean            remove bin/"

@@ -48,5 +48,5 @@ func main() {
 	}
 	item := res.Items["accuracy_translation"][0]
 	fmt.Printf("\naccuracy derives from %d source data (history depth %d)\n",
-		len(item.History.Sources()), item.History.Depth())
+		len(item.Sources()), item.Depth())
 }

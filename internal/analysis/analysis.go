@@ -86,21 +86,24 @@ func (p *Pass) SourceFiles() []*ast.File {
 	return out
 }
 
-// Critical reports whether pkgPath is one of the simulation-critical
-// packages the determinism analyzers (maprange, simtime) police: the
-// event engine, the grid model, the federation broker, the campaign
-// layer, the enactor core and the scenario compiler. Everything those
-// packages do can leak into event order, golden fingerprints, or
-// replayed statistics.
-func Critical(pkgPath string) bool {
-	switch pkgPath {
-	case "repro/internal/sim",
-		"repro/internal/grid",
-		"repro/internal/federation",
-		"repro/internal/campaign",
-		"repro/internal/core",
-		"repro/internal/scenario":
-		return true
+// Critical reports whether the determinism analyzers (maprange, simtime)
+// police file, a non-test source file of package pkgPath given by its
+// base name. Every repro/internal package is policed: each one feeds the
+// engine, directly or through the job specs, tuples and worlds it builds,
+// so anything it does can leak into event order, golden fingerprints, or
+// replayed statistics. Exempt are the analyzers themselves
+// (repro/internal/analysis and its subpackages), which never run inside
+// a simulation, and the daemon's clock.go, which holds the wall clock
+// behind the Clock interface by design.
+func Critical(pkgPath, file string) bool {
+	const internal = "repro/internal/"
+	switch {
+	case !strings.HasPrefix(pkgPath, internal):
+		return false
+	case pkgPath == internal+"analysis" || strings.HasPrefix(pkgPath, internal+"analysis/"):
+		return false
+	case pkgPath == internal+"daemon" && file == "clock.go":
+		return false
 	}
-	return false
+	return true
 }

@@ -23,6 +23,7 @@ package maprange
 import (
 	"go/ast"
 	"go/types"
+	"path/filepath"
 
 	"repro/internal/analysis"
 )
@@ -30,19 +31,18 @@ import (
 // Analyzer is the maprange check gated on analysis.Critical.
 var Analyzer = New(analysis.Critical)
 
-// New builds a maprange analyzer with a custom package gate; the
+// New builds a maprange analyzer with a custom file gate; the
 // fixture tests use this to point the check at testdata packages.
-func New(critical func(pkgPath string) bool) *analysis.Analyzer {
+func New(critical func(pkgPath, file string) bool) *analysis.Analyzer {
 	a := &analysis.Analyzer{
 		Name: "maprange",
 		Doc:  "forbid range over maps in simulation-critical packages (order leaks break deterministic replay); annotate provably order-invariant loops with //moteur:orderinvariant <reason>",
 	}
 	a.Run = func(pass *analysis.Pass) error {
-		if !critical(pass.Pkg.Path()) {
-			return nil
-		}
 		for _, file := range pass.SourceFiles() {
-			checkFile(pass, file)
+			if critical(pass.Pkg.Path(), filepath.Base(pass.Fset.Position(file.Pos()).Filename)) {
+				checkFile(pass, file)
+			}
 		}
 		return nil
 	}

@@ -11,6 +11,6 @@ import (
 // constraint, and slice/string/channel/int negatives) and the
 // non-critical fixture, which must stay silent.
 func TestMapRange(t *testing.T) {
-	a := New(func(pkgPath string) bool { return pkgPath == "mapcrit" })
+	a := New(func(pkgPath, _ string) bool { return pkgPath == "mapcrit" })
 	analysistest.Run(t, "../testdata", a, "mapcrit", "mapclean")
 }

@@ -22,6 +22,7 @@ package simtime
 import (
 	"go/ast"
 	"go/types"
+	"path/filepath"
 	"strconv"
 
 	"repro/internal/analysis"
@@ -45,19 +46,18 @@ var bannedImports = map[string]string{
 // Analyzer is the simtime check gated on analysis.Critical.
 var Analyzer = New(analysis.Critical)
 
-// New builds a simtime analyzer with a custom package gate; the fixture
+// New builds a simtime analyzer with a custom file gate; the fixture
 // tests use this to point the check at testdata packages.
-func New(critical func(pkgPath string) bool) *analysis.Analyzer {
+func New(critical func(pkgPath, file string) bool) *analysis.Analyzer {
 	a := &analysis.Analyzer{
 		Name: "simtime",
 		Doc:  "forbid wall-clock time, math/rand and order-leaking fmt output in simulation-critical packages; use sim.Engine time and internal/rng streams",
 	}
 	a.Run = func(pass *analysis.Pass) error {
-		if !critical(pass.Pkg.Path()) {
-			return nil
-		}
 		for _, file := range pass.SourceFiles() {
-			checkFile(pass, file)
+			if critical(pass.Pkg.Path(), filepath.Base(pass.Fset.Position(file.Pos()).Filename)) {
+				checkFile(pass, file)
+			}
 		}
 		return nil
 	}

@@ -11,6 +11,6 @@ import (
 // Sprintf and duration negatives) and the non-critical fixture, which
 // must stay silent.
 func TestSimTime(t *testing.T) {
-	a := New(func(pkgPath string) bool { return pkgPath == "timecrit" })
+	a := New(func(pkgPath, _ string) bool { return pkgPath == "timecrit" })
 	analysistest.Run(t, "../testdata", a, "timecrit", "timeclean")
 }

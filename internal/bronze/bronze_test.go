@@ -310,27 +310,57 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
+// scaleSpy forwards every invocation to the service it wraps and records
+// the scale parameter the invocation binds.
+type scaleSpy struct {
+	services.Service
+	scales []string
+}
+
+func (s *scaleSpy) Invoke(req services.Request, done func(services.Response)) {
+	s.scales = append(s.scales, req.Inputs["scale"])
+	s.Service.Invoke(req, done)
+}
+
 func TestWorkflowUsesDescriptors(t *testing.T) {
-	// The crestLines job command is composed from the published Fig. 8
-	// descriptor, including the constant scale parameter.
-	res, _, err := Run(1, core.Options{DataParallelism: true, ServiceParallelism: true}, smallParams())
+	// The crestLines job is built from the published Fig. 8 descriptor:
+	// its GFN inputs and minted outputs in declaration order, and the
+	// constant scale parameter reaching the code.
+	app, err := Build(1, smallParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, _ := app.WF.Proc("crestLines")
+	spy := &scaleSpy{Service: cl.Service}
+	cl.Service = spy
+	e, err := core.New(app.Eng, app.WF, core.Options{DataParallelism: true, ServiceParallelism: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run(app.Inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	jobs := res.Trace.Jobs()
 	var found bool
 	for _, j := range jobs {
-		if strings.HasPrefix(j.Spec.Command, "CrestLines.pl ") {
+		if strings.HasPrefix(j.Spec.Name, "CrestLines.pl[") {
 			found = true
-			for _, frag := range []string{"-im1 gfn://lacassagne/flo000", "-im2 gfn://lacassagne/ref000", "-s 1.0", "-c1 ", "-c2 "} {
-				if !strings.Contains(j.Spec.Command, frag) {
-					t.Errorf("crestLines command missing %q: %q", frag, j.Spec.Command)
-				}
+			if in := j.Spec.Inputs; len(in) != 2 || in[0] != "gfn://lacassagne/flo000" || in[1] != "gfn://lacassagne/ref000" {
+				t.Errorf("crestLines stages %v, want -im1 flo000 then -im2 ref000", in)
+			}
+			out := j.Spec.Outputs
+			if len(out) != 2 || !strings.HasPrefix(out[0].Name, "gfn://CrestLines.pl/crest_reference.") ||
+				!strings.HasPrefix(out[1].Name, "gfn://CrestLines.pl/crest_floating.") {
+				t.Errorf("crestLines declares %v, want -c1 crest_reference then -c2 crest_floating", out)
 			}
 		}
 	}
 	if !found {
 		t.Error("no crestLines job found")
+	}
+	if len(spy.scales) != 1 || spy.scales[0] != "1.0" {
+		t.Errorf("crestLines saw scale %q, want [1.0]", spy.scales)
 	}
 }
 
@@ -344,7 +374,7 @@ func TestSyncReceivesAllTransforms(t *testing.T) {
 	if len(items) != 1 {
 		t.Fatal("missing accuracy item")
 	}
-	srcs := items[0].History.Sources()
+	srcs := items[0].Sources()
 	// The accuracy derives from every image of every pair.
 	if len(srcs) < 8 {
 		t.Errorf("accuracy derives from %d sources, want ≥ 8 (4 pairs × 2 images): %v", len(srcs), srcs)

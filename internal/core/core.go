@@ -130,7 +130,7 @@ type Enactor struct {
 	syncs    []*procState // synchronization processors, insertion order
 
 	invs     arena.Chunked[Invocation]       // trace entries
-	items    arena.Chunked[*provenance.Item] // invocation input sets
+	items    arena.Chunked[*provenance.Item] // invocation input sets, then their outputs' Inputs
 	freeMaps []map[string]string             // recycled request-input maps
 }
 
@@ -741,7 +741,7 @@ func (e *Enactor) complete(st *procState, inv *Invocation, inputs []*provenance.
 	st.finished++
 	e.active--
 	inv.Finished = e.eng.Now()
-	inv.Jobs = resp.Jobs
+	inv.Job = resp.Job
 	inv.Err = resp.Err
 	if resp.Err != nil && e.failure == nil {
 		e.failure = fmt.Errorf("core: processor %s: %w", st.p.Name, resp.Err)

@@ -189,11 +189,11 @@ func TestProvenanceDepth(t *testing.T) {
 		t.Fatal("missing sink items")
 	}
 	// src → P0 → P1 → P2: history depth 4.
-	if d := items[0].History.Depth(); d != 4 {
+	if d := items[0].Depth(); d != 4 {
 		t.Fatalf("history depth = %d, want 4", d)
 	}
-	if !strings.Contains(items[0].History.Render(), "P2:out[0]( P1:out[0]( P0:out[0]( src[0] ) ) )") {
-		t.Fatalf("history = %s", items[0].History.Render())
+	if !strings.Contains(items[0].Render(), "P2:out[0]( P1:out[0]( P0:out[0]( src[0] ) ) )") {
+		t.Fatalf("history = %s", items[0].Render())
 	}
 }
 

@@ -96,18 +96,43 @@ func TestDataGroupingTradeoff(t *testing.T) {
 }
 
 func TestDataGroupingBatchCommandComposed(t *testing.T) {
-	_, g := runDataGroup(t, 4, 4)
+	res, g := runDataGroup(t, 4, 4)
 	recs := g.Records()
 	if len(recs) != 1 {
 		t.Fatalf("jobs = %d", len(recs))
 	}
-	cmd := recs[0].Spec.Command
-	// Four composed command lines in one job.
-	if got := countOccurrences(cmd, " && "); got != 3 {
-		t.Fatalf("composed command has %d separators, want 3: %q", got, cmd)
+	// Four invocations in one job: one output declaration each, under the
+	// batch's name.
+	if got := len(recs[0].Spec.Outputs); got != 4 {
+		t.Fatalf("batch declares %d outputs, want 4: %v", got, recs[0].Spec.Outputs)
+	}
+	if recs[0].Spec.Name != "W[batch:4:0]" {
+		t.Fatalf("batch job name = %q", recs[0].Spec.Name)
 	}
 	if recs[0].Spec.Runtime < 120*time.Second {
 		t.Fatalf("batch runtime = %v, want sum of members (≥120s)", recs[0].Spec.Runtime)
+	}
+	for _, inv := range res.Trace.Invocations {
+		if inv.Job != recs[0] {
+			t.Fatalf("invocation %s carries job %p, want the batch's %p", inv.Key(), inv.Job, recs[0])
+		}
+	}
+}
+
+// The members of a batch share one job record: the trace lists it once
+// and counts its attempts once.
+func TestDataGroupingTraceCountsEachJobOnce(t *testing.T) {
+	res, g := runDataGroup(t, 8, 4)
+	jobs := res.Trace.Jobs()
+	if len(jobs) != 2 || jobs[0] == jobs[1] {
+		t.Fatalf("Trace.Jobs() = %v, want the 2 distinct batch records", jobs)
+	}
+	attempts := 0
+	for _, j := range g.Records() {
+		attempts += j.Attempts
+	}
+	if sum := jobs[0].Attempts + jobs[1].Attempts; res.Trace.JobCount() != sum || sum != attempts {
+		t.Fatalf("JobCount = %d, want the records' %d attempts (grid saw %d)", res.Trace.JobCount(), sum, attempts)
 	}
 }
 
@@ -197,7 +222,7 @@ func TestInvokeBatchDirectly(t *testing.T) {
 		if !g.Catalog().Has(out) {
 			t.Fatalf("batch output %q not registered", out)
 		}
-		if len(r.Jobs) != 1 || r.Jobs[0] != resps[0].Jobs[0] {
+		if r.Job == nil || r.Job != resps[0].Job {
 			t.Fatal("batch responses must share the single job record")
 		}
 	}
@@ -242,16 +267,6 @@ func TestInvokeBatchUnboundInput(t *testing.T) {
 	if len(got) != 2 || got[0].Err == nil || got[1].Err == nil {
 		t.Fatalf("unbound input in batch not reported on all members: %+v", got)
 	}
-}
-
-func countOccurrences(s, sub string) int {
-	n := 0
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			n++
-		}
-	}
-	return n
 }
 
 func TestDataGroupingWindowBatchesStreams(t *testing.T) {

@@ -142,7 +142,7 @@ func TestDeepChain(t *testing.T) {
 		t.Fatalf("deep chain makespan = %v, want %v", res.Makespan, depth*time.Second)
 	}
 	items := res.Items["sink"]
-	if d := items[0].History.Depth(); d != depth+1 {
+	if d := items[0].Depth(); d != depth+1 {
 		t.Fatalf("history depth = %d, want %d", d, depth+1)
 	}
 }

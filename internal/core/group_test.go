@@ -362,7 +362,11 @@ func TestAutoGroupPreservesConstants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aw, err := services.NewWrapper(g, d, services.ConstantRuntime(time.Second), map[string]float64{"out": 1})
+	var scales []string
+	aw, err := services.NewWrapper(g, d, func(req services.Request) time.Duration {
+		scales = append(scales, req.Inputs["scale"])
+		return time.Second
+	}, map[string]float64{"out": 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,8 +390,8 @@ func TestAutoGroupPreservesConstants(t *testing.T) {
 	if !reflect.DeepEqual(gp.Constants, want) {
 		t.Fatalf("group constants = %v, want %v", gp.Constants, want)
 	}
-	// And the grouped run works end to end with the constant on the
-	// composed command line.
+	// And the grouped run works end to end with the constant reaching
+	// the code.
 	g.Catalog().Register("gfn://x", 1)
 	e, err := New(eng, grouped, Options{ServiceParallelism: true, DataParallelism: true})
 	if err != nil {
@@ -401,7 +405,7 @@ func TestAutoGroupPreservesConstants(t *testing.T) {
 	if len(jobs) != 1 {
 		t.Fatalf("jobs = %d", len(jobs))
 	}
-	if !strings.Contains(jobs[0].Spec.Command, "-s 1.5") {
-		t.Fatalf("constant missing from composed command: %q", jobs[0].Spec.Command)
+	if len(scales) != 1 || scales[0] != "1.5" {
+		t.Fatalf("the grouped code saw scale %q, want [1.5]", scales)
 	}
 }

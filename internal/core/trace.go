@@ -12,7 +12,7 @@ import (
 )
 
 // Invocation is one trace entry: a single service invocation with its
-// timing and the grid jobs behind it.
+// timing and the grid job behind it.
 type Invocation struct {
 	Processor string
 	Index     []int
@@ -20,7 +20,7 @@ type Invocation struct {
 	Ready     sim.Time // input tuple complete, queued for admission
 	Started   sim.Time // service invoked
 	Finished  sim.Time
-	Jobs      []*grid.JobRecord
+	Job       *grid.JobRecord // nil when no grid job ran it; shared by a batch
 	Err       error
 }
 
@@ -66,22 +66,26 @@ func (t *Trace) Processors() []string {
 }
 
 // JobCount returns the total number of grid job submissions (including
-// resubmissions after failures) behind the trace.
+// resubmissions after failures) behind the trace, each job counted once.
 func (t *Trace) JobCount() int {
 	n := 0
-	for _, inv := range t.Invocations {
-		for _, j := range inv.Jobs {
-			n += j.Attempts
-		}
+	for _, j := range t.Jobs() {
+		n += j.Attempts
 	}
 	return n
 }
 
-// Jobs returns all grid job records behind the trace.
+// Jobs returns the grid job records behind the trace, each once, in
+// invocation start order. The members of a batch share one record and are
+// recorded consecutively, so a repeat is always the previous entry's.
 func (t *Trace) Jobs() []*grid.JobRecord {
 	var out []*grid.JobRecord
+	var prev *grid.JobRecord
 	for _, inv := range t.Invocations {
-		out = append(out, inv.Jobs...)
+		if inv.Job != nil && inv.Job != prev {
+			out = append(out, inv.Job)
+		}
+		prev = inv.Job
 	}
 	return out
 }

@@ -68,6 +68,11 @@ type Config struct {
 // loop has exited.
 var ErrStopped = errors.New("daemon: stopped")
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so one that never finishes them cannot hold a connection open
+// forever. Every endpoint's headers are a few hundred bytes.
+const readHeaderTimeout = 10 * time.Second
+
 // Daemon is a running moteurd instance: one engine, one federation, one
 // driver goroutine that owns them, and an HTTP front-end that talks to
 // the driver exclusively through the injection queue.
@@ -139,7 +144,7 @@ func (d *Daemon) Start() error {
 			return fmt.Errorf("daemon: listen %s: %w", d.cfg.Addr, err)
 		}
 		d.ln = ln
-		d.srv = &http.Server{Handler: d.mux()}
+		d.srv = &http.Server{Handler: d.mux(), ReadHeaderTimeout: readHeaderTimeout}
 		go func() {
 			if err := d.srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				d.cfg.Logf("moteurd: http: %v", err)

@@ -209,6 +209,21 @@ func TestHTTPSubmitJobsMetricsSnapshot(t *testing.T) {
 		t.Fatalf("/submit returned ids %v, want 2", sub.IDs)
 	}
 
+	// A misspelt field is rejected rather than silently dropped, on both
+	// command endpoints.
+	if code, body := httpPost(t, base+"/submit", `{"name":"typo","runtimeSecs":5}`); code != http.StatusBadRequest ||
+		!strings.Contains(body, "runtimeSecs") {
+		t.Fatalf("/submit with an unknown field: %d %q, want 400 naming the field", code, body)
+	}
+	if code, _ := httpPost(t, base+"/outage", `{"grid":"g0","action":"down","for":"1h"}`); code != http.StatusBadRequest {
+		t.Fatalf("/outage with an unknown field: %d, want 400", code)
+	}
+	// A body over the 1 MiB cap is rejected before it is buffered whole.
+	huge := `{"name":"big","inputs":["` + strings.Repeat("a", maxBodyBytes) + `"]}`
+	if code, _ := httpPost(t, base+"/submit", huge); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("/submit with a %d-byte body: %d, want 413", len(huge), code)
+	}
+
 	// An unknown input is rejected without touching the world.
 	if code, _ := httpPost(t, base+"/submit", `{"name":"bad","runtimeSeconds":1,"inputs":["no-such-file"]}`); code != http.StatusBadRequest {
 		t.Fatalf("/submit with unknown input: %d, want 400", code)

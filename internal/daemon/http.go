@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -287,8 +288,7 @@ const maxRuntimeSeconds = 365 * 24 * 3600
 // the running world at the current paced virtual instant.
 func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Name == "" {
@@ -352,8 +352,7 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // grid.
 func (d *Daemon) handleOutage(w http.ResponseWriter, r *http.Request) {
 	var req OutageRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	var apply func(*federation.Federation, int)
@@ -394,6 +393,31 @@ func (d *Daemon) handleOutage(w http.ResponseWriter, r *http.Request) {
 		"action":         req.Action,
 		"virtualSeconds": time.Duration(at).Seconds(),
 	})
+}
+
+// maxBodyBytes bounds a /submit or /outage body. Either is a few hundred
+// bytes; 1 MiB leaves room for long input lists while no single request
+// can make the daemon buffer an unbounded body.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v and reports whether it could.
+// Unknown fields are rejected, as scenario.Parse rejects them, so a
+// misspelt field is an error rather than a silently dropped value. On
+// failure it has answered 413 for a body over maxBodyBytes and 400 for
+// anything else.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		return true
+	}
+	if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+		http.Error(w, fmt.Sprintf("request body over %d bytes", maxBodyBytes), http.StatusRequestEntityTooLarge)
+	} else {
+		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	}
+	return false
 }
 
 // writeJSON serializes v as the response body.

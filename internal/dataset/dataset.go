@@ -101,6 +101,7 @@ func (s *Set) InputNames() []string {
 func FromMap(name string, inputs map[string][]string) *Set {
 	s := &Set{Name: name}
 	keys := make([]string, 0, len(inputs))
+	//moteur:orderinvariant keys are sorted immediately after collection
 	for k := range inputs {
 		keys = append(keys, k)
 	}

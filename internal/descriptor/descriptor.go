@@ -230,7 +230,9 @@ type Bindings struct {
 // bindings, in declaration order — the dynamic composition the paper's
 // wrapper performs at invocation time. Every declared input and output
 // must be bound. A first pass checks the bindings and sizes the line, so
-// the second writes it with a single allocation.
+// the second writes it with a single allocation. The simulated job path
+// does not call it: a grid job carries its stage-ins, outputs and
+// runtime, which is all the grid reads.
 func (d *Description) CommandLine(b Bindings) (string, error) {
 	e := &d.Executable
 	n := len(e.Name)
@@ -267,28 +269,22 @@ func (d *Description) CommandLine(b Bindings) (string, error) {
 }
 
 // StageIns returns the catalog names of the files that must be transferred
-// to the worker node for this invocation: every bound input whose access
-// method is GFN. URL-accessed files (executable, sandboxes) are fetched
-// from their web server and are accounted separately.
-func (d *Description) StageIns(b Bindings) ([]string, error) {
+// to the worker node for an invocation binding inputs: every input whose
+// access method is GFN. URL-accessed files (executable, sandboxes) are
+// fetched from their web server and are accounted separately. Every
+// declared input, parameters included, must be bound: the first unbound
+// one, in declaration order, is the error, so an invocation missing a
+// parameter fails instead of being submitted.
+func (d *Description) StageIns(inputs map[string]string) ([]string, error) {
 	var files []string
 	for _, in := range d.Executable.Inputs {
-		if !in.IsFile() {
-			continue
-		}
-		v, ok := b.Inputs[in.Name]
+		v, ok := inputs[in.Name]
 		if !ok {
 			return nil, fmt.Errorf("descriptor %s: input %q not bound", d.Executable.Name, in.Name)
 		}
-		if in.Access.Type == GFN {
+		if in.IsFile() && in.Access.Type == GFN {
 			files = append(files, v)
 		}
 	}
 	return files, nil
-}
-
-// Compose joins the command lines of several invocations into the single
-// command executed by a grouped job, in sequence.
-func Compose(commands ...string) string {
-	return strings.Join(commands, " && ")
 }

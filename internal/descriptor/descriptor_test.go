@@ -149,11 +149,11 @@ func TestCommandLineMissingOutput(t *testing.T) {
 
 func TestStageIns(t *testing.T) {
 	d := parseFigure8(t)
-	files, err := d.StageIns(Bindings{Inputs: map[string]string{
+	files, err := d.StageIns(map[string]string{
 		"floating_image":  "gfn://flo",
 		"reference_image": "gfn://ref",
 		"scale":           "2.0",
-	}})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,10 +162,23 @@ func TestStageIns(t *testing.T) {
 	}
 }
 
+// StageIns reports the first unbound declared input, in declaration
+// order, whether it is a file or a parameter: it is the job path's only
+// binding check.
 func TestStageInsUnbound(t *testing.T) {
 	d := parseFigure8(t)
-	if _, err := d.StageIns(Bindings{Inputs: map[string]string{}}); err == nil {
-		t.Fatal("unbound file input not reported")
+	for _, c := range []struct {
+		inputs map[string]string
+		want   string
+	}{
+		{map[string]string{}, `descriptor CrestLines.pl: input "floating_image" not bound`},
+		{map[string]string{"scale": "1"}, `descriptor CrestLines.pl: input "floating_image" not bound`},
+		{map[string]string{"floating_image": "f", "scale": "1"}, `descriptor CrestLines.pl: input "reference_image" not bound`},
+		{map[string]string{"floating_image": "f", "reference_image": "r"}, `descriptor CrestLines.pl: input "scale" not bound`},
+	} {
+		if _, err := d.StageIns(c.inputs); err == nil || err.Error() != c.want {
+			t.Errorf("StageIns(%v) err = %v, want %s", c.inputs, err, c.want)
+		}
 	}
 }
 
@@ -276,7 +289,7 @@ func TestValidateAcceptsEveryAccessType(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	files, err := d.StageIns(Bindings{Inputs: map[string]string{"a": "gfn://a", "b": "lib/b.so"}})
+	files, err := d.StageIns(map[string]string{"a": "gfn://a", "b": "lib/b.so"})
 	if err != nil || len(files) != 1 || files[0] != "gfn://a" {
 		t.Fatalf("StageIns = %v, %v; want only the GFN input", files, err)
 	}
@@ -302,16 +315,6 @@ func TestCommandLineErrorOrderAndAllocs(t *testing.T) {
 func TestParseMalformedXML(t *testing.T) {
 	if _, err := Parse([]byte("<description><executable")); err == nil {
 		t.Fatal("malformed XML accepted")
-	}
-}
-
-func TestCompose(t *testing.T) {
-	got := Compose("a -x 1", "b -y 2", "c")
-	if got != "a -x 1 && b -y 2 && c" {
-		t.Fatalf("Compose = %q", got)
-	}
-	if Compose("solo") != "solo" {
-		t.Fatal("single-command compose altered the command")
 	}
 }
 

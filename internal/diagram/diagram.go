@@ -70,6 +70,7 @@ func Render(tr *core.Trace, procs []string, quantum time.Duration) string {
 				row[c] = "X"
 			} else {
 				labels := make([]string, 0, len(set))
+				//moteur:orderinvariant labels are sorted immediately after collection
 				for l := range set {
 					labels = append(labels, l)
 				}

@@ -63,16 +63,12 @@ type FileDecl struct {
 	SizeMB float64
 }
 
-// JobSpec describes a computing task: the composed command line, the files
-// to stage in (by catalog name), the files it will produce, and its compute
-// time on a reference-speed node.
+// JobSpec describes a computing task: its name, the files to stage in (by
+// catalog name), the files it will produce, and its compute time on a
+// reference-speed node.
 type JobSpec struct {
 	// Name tags the job for traces (e.g. "crestLines[3]").
 	Name string
-	// Command is the composed command line. The simulator does not execute
-	// it; it is recorded for traces and inspected by tests, mirroring the
-	// dynamically composed invocation of the paper's generic wrapper.
-	Command string
 	// Inputs are catalog names of files to transfer to the worker node
 	// before computing. Unknown names fail the job permanently.
 	Inputs []string

@@ -180,6 +180,7 @@ func (d *dot) Offer(port string, it *provenance.Item) []Tuple {
 func mergeAligned(index []int, row []*Tuple) Tuple {
 	merged := Tuple{Index: index, Items: make(map[string]*provenance.Item)}
 	for _, cell := range row {
+		//moteur:orderinvariant children cover disjoint ports (a strategy names each port once), so every key is written once
 		for p, it := range cell.Items {
 			merged.Items[p] = it
 		}
@@ -280,6 +281,7 @@ func mergeCross(parts []*Tuple) Tuple {
 	merged := Tuple{Items: make(map[string]*provenance.Item)}
 	for _, p := range parts {
 		merged.Index = append(merged.Index, p.Index...)
+		//moteur:orderinvariant children cover disjoint ports (a strategy names each port once), so every key is written once
 		for port, it := range p.Items {
 			merged.Items[port] = it
 		}

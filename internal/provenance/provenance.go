@@ -7,7 +7,8 @@
 // paired by origin, not by completion order. Each item therefore carries a
 // history tree recording the complete chain of processings that produced
 // it, and an index vector locating it in the iteration space of its
-// sources. Index vectors drive dot-product matching; history trees
+// sources. Each item is its tree's root, linked to the items it was
+// derived from. Index vectors drive dot-product matching; history trees
 // unambiguously identify data for traces and debugging.
 package provenance
 
@@ -20,7 +21,9 @@ import (
 )
 
 // Item is a data token: a value plus its identity in the iteration space
-// and its derivation history.
+// and its derivation history. An item is its own history tree's root: it
+// records which processor produced it, on which port, from which input
+// items.
 type Item struct {
 	// ID is unique within a Tracker (one workflow execution).
 	ID int
@@ -30,34 +33,24 @@ type Item struct {
 	// iteration space spanned by the workflow's data sources. A source item
 	// has a one-dimensional index; a cross product concatenates dimensions.
 	Index []int
-	// History is the root of the item's history tree.
-	History *Node
-}
-
-// Node is one derivation step in a history tree: which processor produced
-// the item, on which port, from which input items.
-type Node struct {
-	// Processor that produced the data ("" only for constants).
+	// Processor that produced the item: the source's name for a source
+	// item, "" only for constants.
 	Processor string
-	// Port the data was emitted on (empty for single-output sources).
+	// Port the item was emitted on (empty for sources and constants).
 	Port string
-	// Index vector of the produced item.
-	Index []int
-	// Inputs are the histories of the items consumed to produce this one.
-	// Empty for source items.
-	Inputs []*Node
+	// Inputs are the items consumed to produce this one. Empty for source
+	// items and constants.
+	Inputs []*Item
 }
 
 // Tracker mints items with execution-unique IDs. The zero value is ready
-// to use. Items and history nodes live until the end of the execution, so
-// the tracker hands them out from chunked arenas rather than allocating
-// each one individually — one execution mints one item per data token, and
-// the arena keeps that off the enactor's per-event allocation budget.
+// to use. Items live until the end of the execution, so the tracker hands
+// them out from a chunked arena rather than allocating each one
+// individually — one execution mints one item per data token, and the
+// arena keeps that off the enactor's per-event allocation budget.
 type Tracker struct {
-	nextID   int
-	items    arena.Chunked[Item]
-	nodes    arena.Chunked[Node]
-	nodePtrs arena.Chunked[*Node]
+	nextID int
+	items  arena.Chunked[Item]
 }
 
 // NewTracker returns a fresh tracker.
@@ -68,40 +61,34 @@ func (t *Tracker) Minted() int { return t.nextID }
 
 // Source mints an item produced by a data source: index vector [idx].
 func (t *Tracker) Source(source string, idx int, value string) *Item {
-	index := []int{idx}
-	n := t.nodes.New()
-	n.Processor = source
-	n.Index = index
-	return t.mint(value, index, n)
+	it := t.mint(value, []int{idx})
+	it.Processor = source
+	return it
 }
 
 // Constant mints an index-free item (a workflow constant). Constants match
 // any index in a dot product.
 func (t *Tracker) Constant(value string) *Item {
-	return t.mint(value, nil, t.nodes.New())
+	return t.mint(value, nil)
 }
 
 // Derive mints an item produced by processor on port with the given index
-// vector, consuming the given inputs.
+// vector, consuming the given inputs. The item keeps the inputs slice as
+// its Inputs, so the caller must not modify it afterwards; the outputs of
+// one invocation may share it.
 func (t *Tracker) Derive(processor, port, value string, index []int, inputs ...*Item) *Item {
-	nodes := t.nodePtrs.Slice(len(inputs))
-	for i, in := range inputs {
-		nodes[i] = in.History
-	}
-	n := t.nodes.New()
-	n.Processor = processor
-	n.Port = port
-	n.Index = index
-	n.Inputs = nodes
-	return t.mint(value, index, n)
+	it := t.mint(value, index)
+	it.Processor = processor
+	it.Port = port
+	it.Inputs = inputs
+	return it
 }
 
-func (t *Tracker) mint(value string, index []int, h *Node) *Item {
+func (t *Tracker) mint(value string, index []int) *Item {
 	it := t.items.New()
 	it.ID = t.nextID
 	it.Value = value
 	it.Index = index
-	it.History = h
 	t.nextID++
 	return it
 }
@@ -141,35 +128,35 @@ func (it *Item) String() string {
 	return fmt.Sprintf("%s[%s]", it.Value, it.Key())
 }
 
-// Render returns the history tree in a functional notation, e.g.
+// Render returns the item's history tree in a functional notation, e.g.
 //
 //	crestMatch[0]( crestLines[0]( ref[0], flo[0] ), ref[0] )
 //
 // which identifies the data unambiguously (Sec. 4.1).
-func (n *Node) Render() string {
+func (it *Item) Render() string {
 	var b strings.Builder
-	n.render(&b)
+	it.render(&b)
 	return b.String()
 }
 
-func (n *Node) render(b *strings.Builder) {
-	name := n.Processor
+func (it *Item) render(b *strings.Builder) {
+	name := it.Processor
 	if name == "" {
 		name = "const"
 	}
 	b.WriteString(name)
-	if n.Port != "" {
+	if it.Port != "" {
 		b.WriteByte(':')
-		b.WriteString(n.Port)
+		b.WriteString(it.Port)
 	}
 	b.WriteByte('[')
-	b.WriteString(Key(n.Index))
+	b.WriteString(Key(it.Index))
 	b.WriteByte(']')
-	if len(n.Inputs) == 0 {
+	if len(it.Inputs) == 0 {
 		return
 	}
 	b.WriteString("( ")
-	for i, in := range n.Inputs {
+	for i, in := range it.Inputs {
 		if i > 0 {
 			b.WriteString(", ")
 		}
@@ -178,10 +165,11 @@ func (n *Node) render(b *strings.Builder) {
 	b.WriteString(" )")
 }
 
-// Depth returns the height of the history tree (a source item has depth 1).
-func (n *Node) Depth() int {
+// Depth returns the height of the item's history tree (a source item has
+// depth 1).
+func (it *Item) Depth() int {
 	max := 0
-	for _, in := range n.Inputs {
+	for _, in := range it.Inputs {
 		if d := in.Depth(); d > max {
 			max = d
 		}
@@ -191,11 +179,11 @@ func (n *Node) Depth() int {
 
 // Sources returns the distinct (processor, index-key) source leaves this
 // item ultimately derives from, in first-visit order.
-func (n *Node) Sources() []string {
+func (it *Item) Sources() []string {
 	var out []string
 	seen := make(map[string]bool)
-	var walk func(*Node)
-	walk = func(m *Node) {
+	var walk func(*Item)
+	walk = func(m *Item) {
 		if len(m.Inputs) == 0 {
 			key := m.Processor + "[" + Key(m.Index) + "]"
 			if !seen[key] {
@@ -208,7 +196,7 @@ func (n *Node) Sources() []string {
 			walk(in)
 		}
 	}
-	walk(n)
+	walk(it)
 	return out
 }
 

@@ -18,11 +18,11 @@ func TestSourceItem(t *testing.T) {
 	if it.Key() != "3" {
 		t.Errorf("Key = %q, want \"3\"", it.Key())
 	}
-	if it.History == nil || it.History.Processor != "referenceImage" {
-		t.Errorf("history = %+v", it.History)
+	if it.Processor != "referenceImage" {
+		t.Errorf("history = %+v", it)
 	}
-	if it.History.Depth() != 1 {
-		t.Errorf("source depth = %d, want 1", it.History.Depth())
+	if it.Depth() != 1 {
+		t.Errorf("source depth = %d, want 1", it.Depth())
 	}
 }
 
@@ -58,7 +58,7 @@ func TestDerive(t *testing.T) {
 	if out.Key() != "0" {
 		t.Errorf("Key = %q", out.Key())
 	}
-	h := out.History
+	h := out
 	if h.Processor != "crestLines" || h.Port != "c1" || len(h.Inputs) != 2 {
 		t.Errorf("history = %+v", h)
 	}
@@ -73,7 +73,7 @@ func TestRender(t *testing.T) {
 	flo := tr.Source("flo", 1, "f")
 	crest := tr.Derive("crestLines", "c1", "c", []int{1}, ref, flo)
 	match := tr.Derive("crestMatch", "t", "m", []int{1}, crest, ref)
-	got := match.History.Render()
+	got := match.Render()
 	want := "crestMatch:t[1]( crestLines:c1[1]( ref[1], flo[1] ), ref[1] )"
 	if got != want {
 		t.Errorf("Render =\n  %s\nwant\n  %s", got, want)
@@ -83,7 +83,7 @@ func TestRender(t *testing.T) {
 func TestRenderConstant(t *testing.T) {
 	tr := NewTracker()
 	c := tr.Constant("-s 0.5")
-	if got := c.History.Render(); got != "const[*]" {
+	if got := c.Render(); got != "const[*]" {
 		t.Errorf("constant render = %q", got)
 	}
 	if c.Key() != "*" {
@@ -97,7 +97,7 @@ func TestSources(t *testing.T) {
 	flo := tr.Source("flo", 2, "f")
 	crest := tr.Derive("crestLines", "c1", "c", []int{2}, ref, flo)
 	match := tr.Derive("crestMatch", "t", "m", []int{2}, crest, ref)
-	got := match.History.Sources()
+	got := match.Sources()
 	if len(got) != 2 || got[0] != "ref[2]" || got[1] != "flo[2]" {
 		t.Errorf("Sources = %v, want [ref[2] flo[2]] (deduplicated, first-visit order)", got)
 	}
@@ -159,7 +159,7 @@ func TestDeepChainDepth(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		cur = tr.Derive("p", "out", "v", []int{0}, cur)
 	}
-	if d := cur.History.Depth(); d != 11 {
+	if d := cur.Depth(); d != 11 {
 		t.Fatalf("depth = %d, want 11", d)
 	}
 }
@@ -205,7 +205,7 @@ func TestQuickRenderContainsAncestors(t *testing.T) {
 		for i := 1; i < depth; i++ {
 			cur = tr.Derive("p", "out", "v", []int{0}, cur)
 		}
-		r := cur.History.Render()
+		r := cur.Render()
 		return strings.Contains(r, "s0[0]") && strings.Count(r, "p:out[0]") == depth-1
 	}
 	if err := quick.Check(f, nil); err != nil {

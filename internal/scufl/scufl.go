@@ -275,6 +275,7 @@ func Write(w *workflow.Workflow) ([]byte, error) {
 			for _, op := range p.OutPorts {
 				px.OutPorts = append(px.OutPorts, portXML{op})
 			}
+			//moteur:orderinvariant sortConstants orders the list immediately after collection
 			for name, v := range p.Constants {
 				px.Constants = append(px.Constants, constantXML{name, v})
 			}

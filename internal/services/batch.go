@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/descriptor"
 	"repro/internal/grid"
 )
 
@@ -15,11 +14,11 @@ import (
 // for a reduction of the per-job overhead, letting the enactor adapt the
 // job granularity to the grid load.
 //
-// The batch job's command line is the composition of the per-invocation
-// command lines; its compute time is their sum; shared input files are
-// staged once. done receives one Response per request, in order; on
-// failure every response carries the error (the grid retries transparently
-// first, as for any job).
+// The batch job runs the invocations in sequence: its compute time is
+// their sum, it declares every invocation's outputs, and shared input
+// files are staged once. done receives one Response per request, in
+// order, all sharing the one job; on failure every response carries the
+// error (the grid retries transparently first, as for any job).
 func (w *Wrapper) InvokeBatch(reqs []Request, done func([]Response)) {
 	if len(reqs) == 0 {
 		panic("services: InvokeBatch with no requests")
@@ -29,7 +28,6 @@ func (w *Wrapper) InvokeBatch(reqs []Request, done func([]Response)) {
 		return
 	}
 	var (
-		commands   = make([]string, len(reqs))
 		stageIns   []string
 		decls      = make([]grid.FileDecl, 0, len(reqs)*len(w.outs))
 		runtime    time.Duration
@@ -42,25 +40,17 @@ func (w *Wrapper) InvokeBatch(reqs []Request, done func([]Response)) {
 		if i == 0 {
 			first = key
 		}
-		bind := descriptor.Bindings{Inputs: req.Inputs, Outputs: outputs}
-		cmd, err := w.desc.CommandLine(bind)
+		stage, err := w.desc.StageIns(req.Inputs)
 		if err != nil {
 			done(failAll(len(reqs), err))
 			return
 		}
-		stage, err := w.desc.StageIns(bind)
-		if err != nil {
-			done(failAll(len(reqs), err))
-			return
-		}
-		commands[i] = cmd
 		stageIns = append(stageIns, stage...)
 		outputSets[i] = outputs
 		runtime += w.run(req)
 	}
 	spec := grid.JobSpec{
 		Name:    w.Name() + "[batch:" + strconv.Itoa(len(reqs)) + ":" + first + "]",
-		Command: descriptor.Compose(commands...),
 		Inputs:  dedup(stageIns),
 		Outputs: decls,
 		Runtime: runtime,
@@ -68,7 +58,7 @@ func (w *Wrapper) InvokeBatch(reqs []Request, done func([]Response)) {
 	w.g.Submit(spec, func(rec *grid.JobRecord) {
 		resps := make([]Response, len(reqs))
 		for i := range resps {
-			resps[i].Jobs = []*grid.JobRecord{rec}
+			resps[i].Job = rec
 			if rec.Status != grid.StatusCompleted {
 				resps[i].Err = fmt.Errorf("services: %s batch: %w", w.Name(), rec.Err)
 			} else {

@@ -1,7 +1,6 @@
 package services
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -33,8 +32,8 @@ func TestInvokeBatchComposesOneJob(t *testing.T) {
 		t.Fatalf("batch produced %d jobs, want 1", len(g.Records()))
 	}
 	job := g.Records()[0]
-	if got := strings.Count(job.Spec.Command, "CrestLines.pl "); got != 3 {
-		t.Fatalf("composed command holds %d invocations, want 3: %q", got, job.Spec.Command)
+	if job.Spec.Name != "CrestLines.pl[batch:3:0]" {
+		t.Fatalf("batch job name = %q", job.Spec.Name)
 	}
 	if job.Spec.Runtime != 90*time.Second {
 		t.Fatalf("batch runtime = %v, want 90s (sum)", job.Spec.Runtime)
@@ -43,7 +42,8 @@ func TestInvokeBatchComposesOneJob(t *testing.T) {
 	if len(job.Spec.Inputs) != 2 {
 		t.Fatalf("staged = %v, want the two shared images once", job.Spec.Inputs)
 	}
-	// 2 outputs per invocation, all registered.
+	// Three invocations in one job: 3×2 output declarations, each
+	// invocation's in descriptor order, all registered.
 	if len(job.Spec.Outputs) != 6 {
 		t.Fatalf("declared outputs = %d, want 6", len(job.Spec.Outputs))
 	}
@@ -53,6 +53,14 @@ func TestInvokeBatchComposesOneJob(t *testing.T) {
 		}
 		if len(r.Outputs) != 2 {
 			t.Fatalf("resp %d outputs = %v", i, r.Outputs)
+		}
+		for j, port := range []string{"crest_reference", "crest_floating"} {
+			if got := job.Spec.Outputs[2*i+j].Name; got != r.Outputs[port] {
+				t.Fatalf("output decl %d = %q, want resp %d's %s %q", 2*i+j, got, i, port, r.Outputs[port])
+			}
+		}
+		if r.Job != job {
+			t.Fatalf("resp %d carries job %p, want the batch's %p", i, r.Job, job)
 		}
 	}
 }

@@ -2,10 +2,11 @@ package services
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"time"
 
-	"repro/internal/descriptor"
 	"repro/internal/grid"
 )
 
@@ -30,7 +31,7 @@ type GroupMember struct {
 // Grouped is a virtual service fusing a sequence of wrapped codes into a
 // single grid job (the job-grouping optimization, Sec. 3.6 / Fig. 7
 // bottom). Because the enactor has access to every member's executable
-// descriptor, it can compose the command lines of the codes and submit one
+// descriptor, it can bind every code's inputs and outputs and submit one
 // job invoking them in sequence: one submission overhead instead of k, and
 // intermediate files never leave the worker node.
 //
@@ -70,7 +71,8 @@ func NewGrouped(name string, members []GroupMember) (*Grouped, error) {
 		if m.W.Submitter() != sub {
 			return nil, fmt.Errorf("services: group %s: member %d targets a different grid or tenant", name, i)
 		}
-		for in, ref := range m.Internal {
+		for _, in := range slices.Sorted(maps.Keys(m.Internal)) {
+			ref := m.Internal[in]
 			if _, ok := m.W.Descriptor().Input(in); !ok {
 				return nil, fmt.Errorf("services: group %s: member %d has no input %q", name, i, in)
 			}
@@ -128,20 +130,18 @@ func (gs *Grouped) OutputNames() []string {
 	return gs.members[len(gs.members)-1].W.Descriptor().OutputNames()
 }
 
-// Invoke implements Service: it composes one command line covering all
-// member codes and submits a single grid job. External inputs are read
-// from req.Inputs under their qualified names; intermediate results are
-// node-local temporary files.
+// Invoke implements Service: it submits a single grid job running every
+// member code in sequence. External inputs are read from req.Inputs under
+// their qualified names; intermediate results are node-local temporary
+// files.
 func (gs *Grouped) Invoke(req Request, done func(Response)) {
 	key, seq := gs.names.next(req.Index)
 	last := len(gs.members) - 1
 
 	var (
-		commands  []string
 		stageIns  []string
 		decls     []grid.FileDecl
 		runtime   time.Duration
-		exposed   map[string]string
 		perMember = make([]map[string]string, len(gs.members)) // outputs per member
 	)
 	for i, m := range gs.members {
@@ -172,18 +172,8 @@ func (gs *Grouped) Invoke(req Request, done func(Response)) {
 			}
 		}
 		perMember[i] = outputs
-		if i == last {
-			exposed = outputs
-		}
 
-		bind := descriptor.Bindings{Inputs: inputs, Outputs: outputs}
-		cmd, err := desc.CommandLine(bind)
-		if err != nil {
-			done(Response{Err: fmt.Errorf("services: group %s: %w", gs.name, err)})
-			return
-		}
-		commands = append(commands, cmd)
-		stage, err := desc.StageIns(bind)
+		stage, err := desc.StageIns(inputs)
 		if err != nil {
 			done(Response{Err: fmt.Errorf("services: group %s: %w", gs.name, err)})
 			return
@@ -198,17 +188,16 @@ func (gs *Grouped) Invoke(req Request, done func(Response)) {
 
 	spec := grid.JobSpec{
 		Name:    gs.name + "[" + key + "]",
-		Command: descriptor.Compose(commands...),
 		Inputs:  dedup(stageIns),
 		Outputs: decls,
 		Runtime: runtime,
 	}
 	gs.g.Submit(spec, func(rec *grid.JobRecord) {
-		resp := Response{Jobs: []*grid.JobRecord{rec}}
+		resp := Response{Job: rec}
 		if rec.Status != grid.StatusCompleted {
 			resp.Err = fmt.Errorf("services: group %s: %w", gs.name, rec.Err)
 		} else {
-			resp.Outputs = exposed
+			resp.Outputs = perMember[last]
 		}
 		done(resp)
 	})

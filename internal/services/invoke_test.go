@@ -10,7 +10,7 @@ import (
 )
 
 // specSink is a Submitter that keeps every submitted spec and never
-// completes a job: tests read what the wrapper composed.
+// completes a job: tests read the specs the wrapper built.
 type specSink struct{ specs []grid.JobSpec }
 
 func (s *specSink) Submit(spec grid.JobSpec, _ func(*grid.JobRecord)) *grid.JobRecord {
@@ -119,8 +119,7 @@ func stageWrapper(t testing.TB) *Wrapper {
 
 // TestWrapperInvokeAllocs pins the objects one invocation allocates: the
 // key, the output GFN, the outputs map (two objects), the output decls,
-// the command line, the stage-in list, the job name and the completion
-// closure.
+// the stage-in list, the job name and the completion closure.
 func TestWrapperInvokeAllocs(t *testing.T) {
 	w := stageWrapper(t)
 	req := Request{Index: []int{17}, Inputs: map[string]string{"in": "gfn://tenant0042/input0017"}}

@@ -14,9 +14,8 @@
 //     concurrent executions — the plain web-service deployment whose
 //     saturation motivates grid submission (Sec. 2).
 //   - Wrapper: the paper's generic submission service (Sec. 3.6). Driven by
-//     an XML executable descriptor, it composes the command line at
-//     invocation time, stages GFN inputs, submits a grid job, and registers
-//     outputs.
+//     an XML executable descriptor, it binds the invocation's inputs,
+//     stages GFN inputs, submits a grid job, and registers outputs.
 //   - Grouped: a virtual service fusing a sequence of Wrappers into a
 //     single grid job (the job-grouping optimization).
 package services
@@ -51,9 +50,10 @@ type Request struct {
 type Response struct {
 	Outputs map[string]string
 	Err     error
-	// Jobs are the grid job records behind this invocation (nil for local
-	// services); used by traces and overhead accounting.
-	Jobs []*grid.JobRecord
+	// Job is the grid job behind this invocation: nil for local services,
+	// shared by every member of a batch. Traces and overhead accounting
+	// read it.
+	Job *grid.JobRecord
 }
 
 // Service is an application component invocable through the standard
@@ -134,6 +134,7 @@ func (l *Local) Invoke(req Request, done func(Response)) {
 			if l.fn != nil {
 				outputs = l.fn(req)
 			} else {
+				//moteur:orderinvariant copying distinct keys into a fresh map writes disjoint slots
 				for p, v := range req.Inputs {
 					outputs[p] = v
 				}

@@ -90,8 +90,8 @@ func TestLocalInvoke(t *testing.T) {
 	if resp.Outputs["in"] != "v1" {
 		t.Fatalf("echo outputs = %v", resp.Outputs)
 	}
-	if resp.Err != nil || resp.Jobs != nil {
-		t.Fatalf("local response carries err/jobs: %+v", resp)
+	if resp.Err != nil || resp.Job != nil {
+		t.Fatalf("local response carries err/job: %+v", resp)
 	}
 }
 
@@ -134,7 +134,14 @@ func TestWrapperInvoke(t *testing.T) {
 	g := testGrid(eng, 4)
 	g.Catalog().Register("gfn://ref0", 7.8)
 	g.Catalog().Register("gfn://flo0", 7.8)
-	w := crestWrapper(t, g, time.Minute)
+	var scale string
+	w, err := NewWrapper(g, mustParse(t, crestLinesXML), func(req Request) time.Duration {
+		scale = req.Inputs["scale"]
+		return time.Minute
+	}, map[string]float64{"crest_reference": 1.0, "crest_floating": 1.0})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var resp Response
 	w.Invoke(Request{
@@ -158,19 +165,26 @@ func TestWrapperInvoke(t *testing.T) {
 			t.Errorf("output %s not registered in catalog", port)
 		}
 	}
-	if len(resp.Jobs) != 1 {
-		t.Fatalf("jobs = %d, want 1", len(resp.Jobs))
+	if resp.Job == nil {
+		t.Fatal("grid-backed response carries no job")
 	}
-	job := resp.Jobs[0]
-	// The composed command line contains the dynamic bindings (Fig. 8).
-	for _, frag := range []string{"CrestLines.pl", "-im1 gfn://flo0", "-im2 gfn://ref0", "-s 1.5", "-c1 ", "-c2 "} {
-		if !strings.Contains(job.Spec.Command, frag) {
-			t.Errorf("command %q missing %q", job.Spec.Command, frag)
-		}
+	job := resp.Job
+	// The job carries the dynamic bindings (Fig. 8): the code's name, its
+	// GFN inputs (-im1, -im2) and the minted outputs (-c1, -c2), each in
+	// declaration order; the -s parameter reaches the code.
+	if job.Spec.Name != "CrestLines.pl[0]" {
+		t.Errorf("job name = %q", job.Spec.Name)
 	}
 	// Only the two GFN files are staged; the parameter is not.
-	if len(job.Spec.Inputs) != 2 {
-		t.Errorf("staged inputs = %v", job.Spec.Inputs)
+	if len(job.Spec.Inputs) != 2 || job.Spec.Inputs[0] != "gfn://flo0" || job.Spec.Inputs[1] != "gfn://ref0" {
+		t.Errorf("staged inputs = %v, want [gfn://flo0 gfn://ref0]", job.Spec.Inputs)
+	}
+	if outs := job.Spec.Outputs; len(outs) != 2 ||
+		outs[0].Name != resp.Outputs["crest_reference"] || outs[1].Name != resp.Outputs["crest_floating"] {
+		t.Errorf("declared outputs = %v, want the minted crest_reference then crest_floating", outs)
+	}
+	if scale != "1.5" {
+		t.Errorf("the code saw scale %q, want 1.5", scale)
 	}
 }
 
@@ -227,6 +241,52 @@ func TestWrapperUnboundInputFails(t *testing.T) {
 	}
 }
 
+// An invocation missing a declared parameter fails before a job is
+// submitted, through every invocation path.
+func TestUnboundParameterNotSubmitted(t *testing.T) {
+	const want = `descriptor CrestLines.pl: input "scale" not bound`
+	images := map[string]string{"floating_image": "gfn://flo0", "reference_image": "gfn://ref0"}
+	eng := sim.NewEngine()
+	g := testGrid(eng, 4)
+	g.Catalog().Register("gfn://ref0", 7.8)
+	g.Catalog().Register("gfn://flo0", 7.8)
+
+	var single Response
+	crestWrapper(t, g, time.Minute).Invoke(Request{Index: []int{0}, Inputs: images},
+		func(r Response) { single = r })
+	var batch []Response
+	crestWrapper(t, g, time.Minute).InvokeBatch([]Request{
+		{Index: []int{0}, Inputs: map[string]string{"floating_image": "gfn://flo0", "reference_image": "gfn://ref0", "scale": "1"}},
+		{Index: []int{1}, Inputs: images},
+	}, func(rs []Response) { batch = rs })
+	var grouped Response
+	buildGroup(t, g).Invoke(Request{Index: []int{0}, Inputs: map[string]string{
+		"CrestLines.pl.floating_image":  "gfn://flo0",
+		"CrestLines.pl.reference_image": "gfn://ref0",
+		"CrestMatch.reference_image":    "gfn://ref0",
+	}}, func(r Response) { grouped = r })
+	eng.Run()
+
+	if single.Err == nil || single.Err.Error() != want {
+		t.Errorf("Invoke err = %v, want %s", single.Err, want)
+	}
+	if len(batch) != 2 {
+		t.Fatalf("InvokeBatch answered %d responses, want 2", len(batch))
+	}
+	for i, r := range batch {
+		if r.Err == nil || r.Err.Error() != want {
+			t.Errorf("InvokeBatch resp %d err = %v, want %s", i, r.Err, want)
+		}
+	}
+	if grouped.Err == nil || !strings.HasPrefix(grouped.Err.Error(), "services: group CrestLines.pl+CrestMatch: ") ||
+		!strings.HasSuffix(grouped.Err.Error(), `input "CrestLines.pl.scale" not bound`) {
+		t.Errorf("Grouped.Invoke err = %v, want the group's unbound CrestLines.pl.scale", grouped.Err)
+	}
+	if n := len(g.Records()); n != 0 {
+		t.Fatalf("%d jobs submitted for invocations missing a parameter, want 0", n)
+	}
+}
+
 func TestNewWrapperValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	g := testGrid(eng, 1)
@@ -279,17 +339,23 @@ func TestGroupedSingleJob(t *testing.T) {
 	if resp.Err != nil {
 		t.Fatal(resp.Err)
 	}
-	if len(resp.Jobs) != 1 {
-		t.Fatalf("group submitted %d jobs, want exactly 1", len(resp.Jobs))
+	if n := len(g.Records()); n != 1 || resp.Job != g.Records()[0] {
+		t.Fatalf("group submitted %d jobs, want exactly 1 carried by the response", n)
 	}
-	job := resp.Jobs[0]
-	// One composed command: code1 && code2 with the intermediate wired
-	// through a node-local tmp path.
-	if !strings.Contains(job.Spec.Command, " && ") {
-		t.Errorf("command not composed: %q", job.Spec.Command)
+	job := resp.Job
+	if job.Spec.Name != "CrestLines.pl+CrestMatch[0]" {
+		t.Errorf("job name = %q", job.Spec.Name)
 	}
-	if !strings.Contains(job.Spec.Command, "tmp/") {
-		t.Errorf("intermediates not node-local: %q", job.Spec.Command)
+	// Intermediates are node-local: no tmp/ name is staged or declared.
+	for _, in := range job.Spec.Inputs {
+		if strings.HasPrefix(in, "tmp/") {
+			t.Errorf("intermediate %q staged", in)
+		}
+	}
+	for _, out := range job.Spec.Outputs {
+		if strings.HasPrefix(out.Name, "tmp/") {
+			t.Errorf("intermediate %q declared", out.Name)
+		}
 	}
 	// Runtime is the sum of member runtimes.
 	if job.Spec.Runtime != 90*time.Second {

@@ -11,9 +11,9 @@ import (
 
 // Wrapper is the paper's generic submission service (Sec. 3.6): a service
 // that can wrap any executable code described by an XML descriptor. At
-// invocation time it composes the actual command line from the descriptor
-// and the bound inputs, chooses fresh GFNs for the outputs, submits one
-// grid job, and reports the registered outputs.
+// invocation time it checks that every declared input is bound, chooses
+// fresh GFNs for the outputs, submits one grid job that stages the GFN
+// inputs, and reports the registered outputs.
 type Wrapper struct {
 	g    Submitter
 	desc *descriptor.Description
@@ -105,26 +105,19 @@ func (w *Wrapper) bind(req Request, decls []grid.FileDecl) (string, map[string]s
 // Invoke implements Service: one invocation is one grid job.
 func (w *Wrapper) Invoke(req Request, done func(Response)) {
 	key, outputs, decls := w.bind(req, make([]grid.FileDecl, 0, len(w.outs)))
-	bind := descriptor.Bindings{Inputs: req.Inputs, Outputs: outputs}
-	cmd, err := w.desc.CommandLine(bind)
-	if err != nil {
-		done(Response{Err: err})
-		return
-	}
-	stage, err := w.desc.StageIns(bind)
+	stage, err := w.desc.StageIns(req.Inputs)
 	if err != nil {
 		done(Response{Err: err})
 		return
 	}
 	spec := grid.JobSpec{
 		Name:    w.Name() + "[" + key + "]",
-		Command: cmd,
 		Inputs:  stage,
 		Outputs: decls,
 		Runtime: w.run(req),
 	}
 	w.g.Submit(spec, func(rec *grid.JobRecord) {
-		resp := Response{Jobs: []*grid.JobRecord{rec}}
+		resp := Response{Job: rec}
 		if rec.Status != grid.StatusCompleted {
 			resp.Err = fmt.Errorf("services: %s: %w", w.Name(), rec.Err)
 		} else {

@@ -35,8 +35,8 @@ func (w *Workflow) Validate() error {
 				}
 			}
 		}
-		for port := range p.Constants {
-			if p.HasInPort(port) {
+		for _, port := range p.InPorts {
+			if _, shadow := p.Constants[port]; shadow {
 				return fmt.Errorf("workflow %s: processor %s: constant %q shadows an input port",
 					w.Name, p.Name, port)
 			}
@@ -81,8 +81,9 @@ func (w *Workflow) Validate() error {
 }
 
 func validateStrategyCoverage(p *Processor, s interface{ Ports() []string }) error {
+	ports := s.Ports()
 	covered := make(map[string]int)
-	for _, port := range s.Ports() {
+	for _, port := range ports {
 		covered[port]++
 	}
 	for _, port := range p.InPorts {
@@ -96,8 +97,10 @@ func validateStrategyCoverage(p *Processor, s interface{ Ports() []string }) err
 		}
 		delete(covered, port)
 	}
-	for port := range covered {
-		return fmt.Errorf("processor %s: iteration strategy references unknown port %q", p.Name, port)
+	for _, port := range ports {
+		if _, unknown := covered[port]; unknown {
+			return fmt.Errorf("processor %s: iteration strategy references unknown port %q", p.Name, port)
+		}
 	}
 	return nil
 }

@@ -248,6 +248,7 @@ func (w *Workflow) Successors(name string) []string {
 
 func sortedKeys(set map[string]bool) []string {
 	out := make([]string, 0, len(set))
+	//moteur:orderinvariant keys are sorted immediately after collection
 	for k := range set {
 		out = append(out, k)
 	}

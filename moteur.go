@@ -113,7 +113,8 @@ type (
 	Local = services.Local
 	// Request is one service invocation's bound inputs.
 	Request = services.Request
-	// Response is one invocation's outcome.
+	// Response is one invocation's outcome: its outputs or error, and the
+	// one grid job behind it (nil for local services).
 	Response = services.Response
 	// Descriptor is an executable descriptor document.
 	Descriptor = descriptor.Description
@@ -305,10 +306,9 @@ var (
 
 // Data identity.
 type (
-	// Item is a data token with provenance.
+	// Item is a data token with provenance: it is the root of its own
+	// history tree (Render, Depth, Sources).
 	Item = provenance.Item
-	// History is a node of an item's history tree.
-	History = provenance.Node
 )
 
 // Theoretical model (Sec. 3.5) and analysis metrics (Sec. 5.1).
