@@ -49,6 +49,16 @@ func TestWorkflowShape(t *testing.T) {
 	}
 }
 
+// TestBuildValidatesAtPaperSizes keeps the structural check Build leaves
+// to core.New: the Fig. 9 workflow is valid at every paper size.
+func TestBuildValidatesAtPaperSizes(t *testing.T) {
+	for _, n := range PaperSizes {
+		if err := mustBuild(t, n).WF.Validate(); err != nil {
+			t.Errorf("%d pairs: %v", n, err)
+		}
+	}
+}
+
 func TestSixJobsPerPair(t *testing.T) {
 	// "Each of the input image pair was registered with the 4 algorithms
 	// and leads to 6 job submissions" (Sec. 4.4), plus one synchronization

@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -135,11 +136,8 @@ type Enactor struct {
 }
 
 type readyTuple struct {
-	tuple iterstrat.Tuple
-	// single, when non-nil, is the whole input set: the tuple came through
-	// the single-port fast path and carries no Items map.
-	single *provenance.Item
-	ready  sim.Time
+	tuple iterstrat.Tuple // Items in strategy port order
+	ready sim.Time
 }
 
 // tupleQueue is a FIFO of ready tuples backed by a reusable slice: pops
@@ -215,8 +213,10 @@ type procState struct {
 	syncAncestors     []*procState       // synchronization processors among ancestors
 	batchCap          int                // data-grouping batch size (1 = no batching)
 	wrapper           *services.Wrapper  // non-nil for wrapper-backed services
-	fastPort          string             // single-port fast path: the one input port
 	fastSingle        bool               // strategy is a bare leaf; bypass Offer
+	// perm[i] is the position of ports[i] in strat.Ports(); nil when the
+	// two orders agree.
+	perm []int
 
 	syncFired   bool
 	syncBuf     map[string][]*provenance.Item // sync procs: per-port arrivals
@@ -257,10 +257,8 @@ func New(eng *sim.Engine, wf *workflow.Workflow, opts Options) (*Enactor, error)
 			st.strat = iterstrat.Clone(wf.EffectiveStrategy(p))
 			// A bare single-port leaf is a stateless pass-through: deliver
 			// can turn the item into a ready tuple without the Offer
-			// machinery (and without a per-tuple map).
-			if port, ok := iterstrat.SinglePort(st.strat); ok {
-				st.fastPort, st.fastSingle = port, true
-			}
+			// machinery.
+			_, st.fastSingle = iterstrat.SinglePort(st.strat)
 		}
 		if p.Synchronization {
 			st.syncBuf = make(map[string][]*provenance.Item)
@@ -268,6 +266,9 @@ func New(eng *sim.Engine, wf *workflow.Workflow, opts Options) (*Enactor, error)
 		}
 		st.ports = append([]string(nil), p.InPorts...)
 		sort.Strings(st.ports)
+		if st.strat != nil {
+			st.perm = portPerm(st.ports, st.strat)
+		}
 		if w, ok := p.Service.(*services.Wrapper); ok {
 			st.wrapper = w
 			if opts.DataGroupSize > 1 && opts.DataParallelism {
@@ -317,6 +318,23 @@ func New(eng *sim.Engine, wf *workflow.Workflow, opts Options) (*Enactor, error)
 		}
 	}
 	return e, nil
+}
+
+// portPerm maps each request port to its position in the strategy's
+// ports, so a tuple's positional Items are read in request order. It
+// returns nil when the two orders agree. Every port is found: the
+// workflow's Validate (run by New, and by AutoGroup on its rewrite)
+// rejects a strategy that does not cover each input port exactly once.
+func portPerm(ports []string, strat iterstrat.Strategy) []int {
+	sp := strat.Ports()
+	if slices.Equal(ports, sp) {
+		return nil
+	}
+	perm := make([]int, len(ports))
+	for i, port := range ports {
+		perm[i] = slices.Index(sp, port)
+	}
+	return perm
 }
 
 func admissionCap(opts Options) int {
@@ -509,11 +527,13 @@ func (e *Enactor) deliver(st *procState, port string, item *provenance.Item) {
 			dst.syncBuf[r.toPort] = append(dst.syncBuf[r.toPort], item)
 		case dst.fastSingle:
 			// Exactly what a leaf Offer would emit: one tuple keyed by the
-			// item's own index.
+			// item's own index. Its one-item input set comes from the
+			// arena, since a leaf reuses its own.
+			items := e.items.Slice(1)
+			items[0] = item
 			dst.queue.push(readyTuple{
-				tuple:  iterstrat.Tuple{Index: item.Index},
-				single: item,
-				ready:  e.eng.Now(),
+				tuple: iterstrat.Tuple{Index: item.Index, Items: items},
+				ready: e.eng.Now(),
 			})
 			e.active++
 			e.markDirty(dst)
@@ -714,18 +734,18 @@ func (e *Enactor) releaseInputs(m map[string]string) {
 // bindings.
 func (e *Enactor) buildRequest(st *procState, rt readyTuple) (services.Request, []*provenance.Item) {
 	req := services.Request{Index: rt.tuple.Index, Inputs: e.newInputs(len(st.ports) + len(st.p.Constants))}
-	var inputItems []*provenance.Item
-	if rt.single != nil {
-		req.Inputs[st.fastPort] = rt.single.Value
-		inputItems = e.items.Slice(1)
-		inputItems[0] = rt.single
-	} else {
+	// The tuple's Items are its own (handed over by the strategy, or
+	// taken from the arena on the fast path), so in request order they
+	// are the input set as they stand.
+	inputItems := rt.tuple.Items
+	if st.perm != nil {
 		inputItems = e.items.Slice(len(st.ports))
-		for i, port := range st.ports {
-			item := rt.tuple.Items[port]
-			req.Inputs[port] = item.Value
-			inputItems[i] = item
+		for i, p := range st.perm {
+			inputItems[i] = rt.tuple.Items[p]
 		}
+	}
+	for i, port := range st.ports {
+		req.Inputs[port] = inputItems[i].Value
 	}
 	//moteur:orderinvariant distinct constant keys write disjoint map slots, no order leak
 	for k, v := range st.p.Constants {

@@ -59,7 +59,8 @@ func TestMergedStreamsIntoOnePort(t *testing.T) {
 }
 
 // A cross product inside the enactor: n×m invocations, results indexed in
-// two dimensions.
+// two dimensions. Listing the ports against their sorted order, as
+// cross(y,x) does, must still bind each value to its own port.
 func TestCrossProductThroughEnactor(t *testing.T) {
 	eng := sim.NewEngine()
 	w := workflow.New("cross")
@@ -70,16 +71,21 @@ func TestCrossProductThroughEnactor(t *testing.T) {
 	w.AddSource("a")
 	w.AddSource("b")
 	p := w.AddService("pair", pair, []string{"x", "y"}, []string{"out"})
-	p.Strategy = iterstrat.Cross(iterstrat.Port("x"), iterstrat.Port("y"))
 	w.AddSink("sink")
 	w.Connect("a", workflow.SourcePort, "pair", "x")
 	w.Connect("b", workflow.SourcePort, "pair", "y")
 	w.Connect("pair", "out", "sink", workflow.SinkPort)
 
-	for _, opts := range []Options{
-		{DataParallelism: true, ServiceParallelism: true},
-		{}, // barrier mode must agree on the result set
+	for _, run := range []struct {
+		opts  Options
+		strat iterstrat.Strategy
+	}{
+		{Options{DataParallelism: true, ServiceParallelism: true}, iterstrat.Cross(iterstrat.Port("x"), iterstrat.Port("y"))},
+		{Options{}, iterstrat.Cross(iterstrat.Port("x"), iterstrat.Port("y"))}, // barrier mode must agree on the result set
+		{Options{DataParallelism: true, ServiceParallelism: true}, iterstrat.Cross(iterstrat.Port("y"), iterstrat.Port("x"))},
 	} {
+		opts := run.opts
+		p.Strategy = run.strat
 		e, err := New(eng, w, opts)
 		if err != nil {
 			t.Fatal(err)

@@ -60,6 +60,10 @@ type Input struct {
 // literal parameter).
 func (in Input) IsFile() bool { return in.Access != nil }
 
+// Staged reports whether the input is a GFN-accessed file: one that
+// AppendStageIns transfers to the worker node.
+func (in Input) Staged() bool { return in.IsFile() && in.Access.Type == GFN }
+
 // Output is a produced file: its command-line option and the access method
 // used to register it after execution.
 type Output struct {
@@ -134,7 +138,7 @@ func (d *Description) Validate() error {
 		names[name] = kind
 		return nil
 	}
-	// An unknown access type would otherwise pass silently: StageIns
+	// An unknown access type would otherwise pass silently: AppendStageIns
 	// stages only GFN inputs, so a misspelt "gfn" input would reach the
 	// worker node for free, never checked against the catalog.
 	known := func(kind, name string, a *Access) error {
@@ -268,23 +272,22 @@ func (d *Description) CommandLine(b Bindings) (string, error) {
 	return sb.String(), nil
 }
 
-// StageIns returns the catalog names of the files that must be transferred
-// to the worker node for an invocation binding inputs: every input whose
-// access method is GFN. URL-accessed files (executable, sandboxes) are
-// fetched from their web server and are accounted separately. Every
-// declared input, parameters included, must be bound: the first unbound
-// one, in declaration order, is the error, so an invocation missing a
-// parameter fails instead of being submitted.
-func (d *Description) StageIns(inputs map[string]string) ([]string, error) {
-	var files []string
+// AppendStageIns appends to dst the catalog names of the files that must
+// be transferred to the worker node for an invocation binding inputs:
+// every Staged input, in declaration order. URL-accessed files
+// (executable, sandboxes) are fetched from their web server and are
+// accounted separately. Every declared input, parameters included, must
+// be bound: the first unbound one, in declaration order, is the error, so
+// an invocation missing a parameter fails instead of being submitted.
+func (d *Description) AppendStageIns(dst []string, inputs map[string]string) ([]string, error) {
 	for _, in := range d.Executable.Inputs {
 		v, ok := inputs[in.Name]
 		if !ok {
 			return nil, fmt.Errorf("descriptor %s: input %q not bound", d.Executable.Name, in.Name)
 		}
-		if in.IsFile() && in.Access.Type == GFN {
-			files = append(files, v)
+		if in.Staged() {
+			dst = append(dst, v)
 		}
 	}
-	return files, nil
+	return dst, nil
 }

@@ -149,7 +149,7 @@ func TestCommandLineMissingOutput(t *testing.T) {
 
 func TestStageIns(t *testing.T) {
 	d := parseFigure8(t)
-	files, err := d.StageIns(map[string]string{
+	files, err := d.AppendStageIns(nil, map[string]string{
 		"floating_image":  "gfn://flo",
 		"reference_image": "gfn://ref",
 		"scale":           "2.0",
@@ -158,11 +158,11 @@ func TestStageIns(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(files) != 2 || files[0] != "gfn://flo" || files[1] != "gfn://ref" {
-		t.Fatalf("StageIns = %v (parameters must not be staged)", files)
+		t.Fatalf("AppendStageIns = %v (parameters must not be staged)", files)
 	}
 }
 
-// StageIns reports the first unbound declared input, in declaration
+// AppendStageIns reports the first unbound declared input, in declaration
 // order, whether it is a file or a parameter: it is the job path's only
 // binding check.
 func TestStageInsUnbound(t *testing.T) {
@@ -176,8 +176,8 @@ func TestStageInsUnbound(t *testing.T) {
 		{map[string]string{"floating_image": "f", "scale": "1"}, `descriptor CrestLines.pl: input "reference_image" not bound`},
 		{map[string]string{"floating_image": "f", "reference_image": "r"}, `descriptor CrestLines.pl: input "scale" not bound`},
 	} {
-		if _, err := d.StageIns(c.inputs); err == nil || err.Error() != c.want {
-			t.Errorf("StageIns(%v) err = %v, want %s", c.inputs, err, c.want)
+		if _, err := d.AppendStageIns(nil, c.inputs); err == nil || err.Error() != c.want {
+			t.Errorf("AppendStageIns(%v) err = %v, want %s", c.inputs, err, c.want)
 		}
 	}
 }
@@ -289,9 +289,9 @@ func TestValidateAcceptsEveryAccessType(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	files, err := d.StageIns(map[string]string{"a": "gfn://a", "b": "lib/b.so"})
+	files, err := d.AppendStageIns(nil, map[string]string{"a": "gfn://a", "b": "lib/b.so"})
 	if err != nil || len(files) != 1 || files[0] != "gfn://a" {
-		t.Fatalf("StageIns = %v, %v; want only the GFN input", files, err)
+		t.Fatalf("AppendStageIns = %v, %v; want only the GFN input", files, err)
 	}
 }
 

@@ -36,6 +36,10 @@ type cluster struct {
 	// (carried here so the arrival chain runs through package functions
 	// instead of a recursive closure).
 	bgHorizon time.Duration
+	// bgDur is the background job duration distribution, solved when the
+	// generator starts; a non-positive mean leaves the zero distribution,
+	// whose jobs take no time.
+	bgDur rng.LogNormal
 }
 
 func newCluster(g *Grid, cfg ClusterConfig, rnd *rng.Source) *cluster {
@@ -112,7 +116,7 @@ func nodeGranted(x any) {
 	c.fgJobs++
 	run.rec.Status = StatusRunning
 	run.rec.Started = c.g.Eng.Now()
-	dispatch := c.g.drawLogNormal(c.g.cfg.Overheads.DispatchMean, c.g.cfg.Overheads.DispatchSD)
+	dispatch := c.g.drawOverhead(c.g.dispatchDur)
 	c.g.Eng.ScheduleArg(dispatch, dispatchDone, run)
 }
 
@@ -407,6 +411,7 @@ func (c *cluster) release(run *jobRun, failed bool) {
 // at the horizon so event-draining runs terminate.
 func (c *cluster) startBackground(horizon time.Duration) {
 	c.bgHorizon = horizon
+	c.bgDur = durationDist(c.cfg.BackgroundMeanDur, c.cfg.BackgroundSDDur)
 	// Warm start: the grid is already ~utilized when the experiment begins,
 	// like any production infrastructure.
 	expected := float64(c.cfg.BackgroundMeanDur) / float64(c.cfg.BackgroundMeanIAT)
@@ -438,8 +443,7 @@ func (c *cluster) bgNext() {
 // node for it, and schedule the next arrival.
 func bgArrive(x any) {
 	c := x.(*cluster)
-	d := time.Duration(c.rnd.LogNormalMeanSD(
-		float64(c.cfg.BackgroundMeanDur), float64(c.cfg.BackgroundSDDur)))
+	d := time.Duration(c.bgDur.Draw(c.rnd))
 	c.occupy(d)
 	c.bgNext()
 }

@@ -222,6 +222,10 @@ type Grid struct {
 	records  []*JobRecord
 	nextID   int
 
+	// The middleware overhead distributions, solved once from
+	// cfg.Overheads (see durationDist).
+	submitDur, brokerDur, dispatchDur rng.LogNormal
+
 	// recs arena-allocates the job records (chunked, so records stay
 	// valid for the grid's lifetime without one heap object per job);
 	// runs arena-allocates the pooled lifecycle contexts, recycled
@@ -282,6 +286,10 @@ func NewWithCatalog(eng *sim.Engine, cfg Config, cat *Catalog) *Grid {
 		catalog: cat,
 		rnd:     rng.New(cfg.Seed),
 		subSlot: make(map[string]int),
+
+		submitDur:   durationDist(cfg.Overheads.SubmitMean, cfg.Overheads.SubmitSD),
+		brokerDur:   durationDist(cfg.Overheads.BrokerMean, cfg.Overheads.BrokerSD),
+		dispatchDur: durationDist(cfg.Overheads.DispatchMean, cfg.Overheads.DispatchSD),
 	}
 	// The catalog needs the engine clock for storage access-recency
 	// accounting; the first grid of a shared-catalog federation binds it.
@@ -538,10 +546,18 @@ func (g *Grid) tenantWeight(tenant string) int {
 	return 1
 }
 
-func (g *Grid) drawLogNormal(mean, sd time.Duration) time.Duration {
+// durationDist solves a log-normal duration distribution, a middleware
+// overhead or a background job's hold time. A non-positive mean leaves the
+// zero distribution: its draws are 0 and consume no randomness, so an
+// overhead set to 0 is off.
+func durationDist(mean, sd time.Duration) rng.LogNormal {
 	if mean <= 0 {
-		return 0
+		return rng.LogNormal{}
 	}
-	v := g.rnd.LogNormalMeanSD(float64(mean), float64(sd))
-	return time.Duration(v)
+	return rng.NewLogNormal(float64(mean), float64(sd))
+}
+
+// drawOverhead draws one middleware overhead from the grid's stream.
+func (g *Grid) drawOverhead(d rng.LogNormal) time.Duration {
+	return time.Duration(d.Draw(g.rnd))
 }

@@ -290,6 +290,24 @@ func TestBackgroundHorizonTerminates(t *testing.T) {
 	}
 }
 
+// TestBackgroundZeroMeanDuration runs background load with no duration
+// mean: the grid builds without panicking, and its background jobs take no
+// time.
+func TestBackgroundZeroMeanDuration(t *testing.T) {
+	cfg := quiet(4)
+	cfg.Clusters[0].BackgroundMeanIAT = time.Second
+	cfg.BackgroundHorizon = time.Minute
+	eng := sim.NewEngine()
+	g := New(eng, cfg)
+	eng.Run()
+	if n := g.ClusterStats()[0].BackgroundJobs; n == 0 {
+		t.Fatal("no background jobs started")
+	}
+	if eng.Now() > sim.Time(time.Minute) {
+		t.Fatalf("zero-duration background jobs ran past the horizon: %v", eng.Now())
+	}
+}
+
 func TestBrokerSpreadsLoad(t *testing.T) {
 	cfg := quiet(0)
 	cfg.Clusters = []ClusterConfig{

@@ -400,7 +400,7 @@ func (g *Grid) pumpSubmits() {
 	// One job at a time pays the submit latency, inflated by the
 	// middleware's current load (submissions accepted but not yet paid).
 	g.uiBusy = true
-	d := g.drawLogNormal(g.cfg.Overheads.SubmitMean, g.cfg.Overheads.SubmitSD)
+	d := g.drawOverhead(g.submitDur)
 	if f := g.cfg.Overheads.SubmitLoadFactor; f > 0 {
 		mult := 1 + f*float64(g.subPending-1)
 		if mult > maxSubmitLoad {
@@ -450,8 +450,7 @@ func (g *Grid) match(run *jobRun) {
 func brokerGranted(x any) {
 	run := x.(*jobRun)
 	g := run.g
-	g.Eng.ScheduleArg(g.drawLogNormal(g.cfg.Overheads.BrokerMean, g.cfg.Overheads.BrokerSD),
-		brokerDone, run)
+	g.Eng.ScheduleArg(g.drawOverhead(g.brokerDur), brokerDone, run)
 }
 
 // brokerDone runs when matchmaking completes: the broker slot is

@@ -16,7 +16,7 @@ const (
 func Decompose(s Strategy) (op Op, children []Strategy, port string) {
 	switch n := s.(type) {
 	case *leaf:
-		return OpPort, nil, n.name
+		return OpPort, nil, n.port[0]
 	case *dot:
 		return OpDot, n.children, ""
 	case *cross:

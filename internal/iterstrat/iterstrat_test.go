@@ -18,6 +18,17 @@ func offerAll(s Strategy, offers []offer) []Tuple {
 	return out
 }
 
+// itemOn returns the item a tuple emitted by s matched on port: the entry
+// at the port's position in s.Ports().
+func itemOn(s Strategy, tu Tuple, port string) *provenance.Item {
+	for i, p := range s.Ports() {
+		if p == port {
+			return tu.Items[i]
+		}
+	}
+	panic("iterstrat test: no port " + port + " in " + s.String())
+}
+
 type offer struct {
 	port string
 	item *provenance.Item
@@ -45,8 +56,9 @@ func TestDotPairsByIndex(t *testing.T) {
 		t.Fatalf("dot emitted %d tuples, want 3", len(tuples))
 	}
 	for i, tu := range tuples {
-		if tu.Items["a"].Value != fmt.Sprintf("A%d", i) || tu.Items["b"].Value != fmt.Sprintf("B%d", i) {
-			t.Errorf("tuple %d pairs %s with %s", i, tu.Items["a"], tu.Items["b"])
+		a, b := itemOn(s, tu, "a"), itemOn(s, tu, "b")
+		if a.Value != fmt.Sprintf("A%d", i) || b.Value != fmt.Sprintf("B%d", i) {
+			t.Errorf("tuple %d pairs %s with %s", i, a, b)
 		}
 	}
 }
@@ -69,7 +81,7 @@ func TestDotOutOfOrderArrival(t *testing.T) {
 		t.Fatalf("emitted %d tuples, want 4", len(tuples))
 	}
 	for _, tu := range tuples {
-		ai, bi := tu.Items["a"].Index[0], tu.Items["b"].Index[0]
+		ai, bi := itemOn(s, tu, "a").Index[0], itemOn(s, tu, "b").Index[0]
 		if ai != bi {
 			t.Errorf("dot paired A%d with B%d despite provenance indices", ai, bi)
 		}
@@ -158,7 +170,7 @@ func TestComposedCrossOfDot(t *testing.T) {
 		if len(tu.Index) != 2 {
 			t.Fatalf("index = %v, want [pair, param]", tu.Index)
 		}
-		if tu.Items["a"].Index[0] != tu.Items["b"].Index[0] {
+		if itemOn(s, tu, "a").Index[0] != itemOn(s, tu, "b").Index[0] {
 			t.Fatal("inner dot misaligned inside cross")
 		}
 	}
@@ -179,8 +191,8 @@ func TestComposedDotOfCross(t *testing.T) {
 		t.Fatalf("dot(cross(2,2),cross(2,2)) emitted %d, want 4", len(tuples))
 	}
 	for _, tu := range tuples {
-		if tu.Items["a"].Index[0] != tu.Items["c"].Index[0] ||
-			tu.Items["b"].Index[0] != tu.Items["d"].Index[0] {
+		if itemOn(s, tu, "a").Index[0] != itemOn(s, tu, "c").Index[0] ||
+			itemOn(s, tu, "b").Index[0] != itemOn(s, tu, "d").Index[0] {
 			t.Fatalf("outer dot paired mismatched 2-D indices: %v", tu.Index)
 		}
 	}
@@ -319,7 +331,7 @@ func TestQuickDotAnyOrder(t *testing.T) {
 			return false
 		}
 		for _, tu := range tuples {
-			if tu.Items["a"].Index[0] != tu.Items["b"].Index[0] {
+			if itemOn(s, tu, "a").Index[0] != itemOn(s, tu, "b").Index[0] {
 				return false
 			}
 		}

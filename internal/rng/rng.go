@@ -118,18 +118,43 @@ func (r *Source) LogNormal(mu, sigma float64) float64 {
 }
 
 // LogNormalMeanSD returns a log-normal value with the given mean and
-// standard deviation of the log-normal distribution itself.
+// standard deviation of the log-normal distribution itself. It panics
+// unless mean > 0. Callers drawing the same shape repeatedly should solve
+// it once with NewLogNormal.
 func (r *Source) LogNormalMeanSD(mean, sd float64) float64 {
+	return NewLogNormal(mean, sd).Draw(r)
+}
+
+// LogNormal is a log-normal distribution given by its own mean and
+// standard deviation, with the underlying normal's parameters solved once
+// rather than per draw. The zero value always draws 0.
+type LogNormal struct {
+	mean, mu, sigma float64
+	spread          bool // sd > 0; otherwise every draw is mean
+}
+
+// NewLogNormal solves the log-normal with the given mean and standard
+// deviation. It panics unless mean > 0; sd <= 0 gives the degenerate
+// distribution that always draws mean.
+func NewLogNormal(mean, sd float64) LogNormal {
 	if mean <= 0 {
-		panic("rng: LogNormalMeanSD requires mean > 0")
+		panic("rng: log-normal requires mean > 0")
 	}
 	if sd <= 0 {
-		return mean
+		return LogNormal{mean: mean}
 	}
 	v := sd * sd / (mean * mean)
 	sigma2 := math.Log(1 + v)
 	mu := math.Log(mean) - sigma2/2
-	return r.LogNormal(mu, math.Sqrt(sigma2))
+	return LogNormal{mean: mean, mu: mu, sigma: math.Sqrt(sigma2), spread: true}
+}
+
+// Draw returns one value of the distribution from r.
+func (d LogNormal) Draw(r *Source) float64 {
+	if !d.spread {
+		return d.mean
+	}
+	return r.LogNormal(d.mu, d.sigma)
 }
 
 // Exponential returns an exponentially distributed value with the given mean.

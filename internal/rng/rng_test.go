@@ -173,6 +173,36 @@ func TestLogNormalMeanSDDegenerate(t *testing.T) {
 	}
 }
 
+// TestLogNormalDrawMatchesMeanSD checks the solved-once distribution: a
+// value reused across draws matches the per-call form on a twin source (Draw
+// keeps no state), degenerate sd <= 0 draws the mean without consuming
+// randomness, and the zero value draws 0 without consuming randomness.
+func TestLogNormalDrawMatchesMeanSD(t *testing.T) {
+	d := NewLogNormal(150, 75)
+	a, b := New(3), New(3)
+	for i := 0; i < 20; i++ {
+		if got, want := d.Draw(b), a.LogNormalMeanSD(150, 75); got != want {
+			t.Fatalf("draw %d = %v, want %v", i, got, want)
+		}
+	}
+	for _, sd := range []float64{0, -3} {
+		r := New(4)
+		if got := NewLogNormal(42, sd).Draw(r); got != 42 {
+			t.Fatalf("NewLogNormal(42, %g).Draw = %v, want 42", sd, got)
+		}
+		if r.Uint64() != New(4).Uint64() {
+			t.Fatalf("NewLogNormal(42, %g).Draw consumed randomness", sd)
+		}
+	}
+	r := New(5)
+	if got := (LogNormal{}).Draw(r); got != 0 {
+		t.Fatalf("zero LogNormal drew %v, want 0", got)
+	}
+	if r.Uint64() != New(5).Uint64() {
+		t.Fatal("zero LogNormal consumed randomness")
+	}
+}
+
 func TestLogNormalPositive(t *testing.T) {
 	r := New(11)
 	for i := 0; i < 10000; i++ {

@@ -576,6 +576,9 @@ func (s *Spec) Validate() error {
 			if c.Name == "" || c.Nodes <= 0 {
 				return s.errAt(g.Name, "grid %q has a cluster without a name or positive nodes", g.Name)
 			}
+			if c.BackgroundMeanIAT > 0 && c.BackgroundMeanDur <= 0 {
+				return s.errAt("backgroundMeanIAT", "grid %q cluster %q has background load without a positive backgroundMeanDur", g.Name, c.Name)
+			}
 		}
 		if f := g.Failures; f != nil && (f.Probability < 0 || f.Probability > 1) {
 			return s.errAt(g.Name, "grid %q failure probability %v outside [0, 1]", g.Name, f.Probability)

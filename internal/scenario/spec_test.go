@@ -100,6 +100,10 @@ func TestSpecRejectsWorldErrors(t *testing.T) {
 	mustReject(t, edit(t, `"grids": [{"name": "g0", "preset": "quiet", "nodes": 4}],`, `"grids": [],`),
 		"base", "no grids")
 	mustReject(t, edit(t, `"preset": "quiet"`, `"preset": "warp"`), "warp", `unknown preset "warp"`)
+	// Background arrivals need a duration to hold nodes for.
+	mustReject(t, edit(t, `"nodes": 4}],`, `"clusters": [{"name": "ce", "nodes": 4,
+    "backgroundMeanIAT": "30s"}]}],`), "backgroundMeanIAT",
+		`grid "g0" cluster "ce" has background load without a positive backgroundMeanDur`)
 	mustReject(t, edit(t, `"grids": [{"name": "g0", "preset": "quiet", "nodes": 4}],`,
 		`"grids": [{"name": "g0"}, {"name": "g0"}],`), "g0", `duplicate grid name "g0"`)
 

@@ -28,7 +28,7 @@ func (w *Wrapper) InvokeBatch(reqs []Request, done func([]Response)) {
 		return
 	}
 	var (
-		stageIns   []string
+		stageIns   = make([]string, 0, len(reqs)*w.staged)
 		decls      = make([]grid.FileDecl, 0, len(reqs)*len(w.outs))
 		runtime    time.Duration
 		outputSets = make([]map[string]string, len(reqs))
@@ -40,12 +40,11 @@ func (w *Wrapper) InvokeBatch(reqs []Request, done func([]Response)) {
 		if i == 0 {
 			first = key
 		}
-		stage, err := w.desc.StageIns(req.Inputs)
-		if err != nil {
+		var err error
+		if stageIns, err = w.desc.AppendStageIns(stageIns, req.Inputs); err != nil {
 			done(failAll(len(reqs), err))
 			return
 		}
-		stageIns = append(stageIns, stage...)
 		outputSets[i] = outputs
 		runtime += w.run(req)
 	}

@@ -173,14 +173,12 @@ func (gs *Grouped) Invoke(req Request, done func(Response)) {
 		}
 		perMember[i] = outputs
 
-		stage, err := desc.StageIns(inputs)
-		if err != nil {
+		// Internal inputs are tmp/ paths: dedup drops them below.
+		var err error
+		if stageIns, err = desc.AppendStageIns(stageIns, inputs); err != nil {
 			done(Response{Err: fmt.Errorf("services: group %s: %w", gs.name, err)})
 			return
 		}
-		// Internal inputs are tmp/ paths, never GFNs, so stage contains
-		// only genuinely external files.
-		stageIns = append(stageIns, stage...)
 
 		memberReq := Request{Index: req.Index, Inputs: inputs}
 		runtime += m.W.Runtime()(memberReq)
@@ -205,13 +203,12 @@ func (gs *Grouped) Invoke(req Request, done func(Response)) {
 
 // dedup removes repeated stage-in names while preserving order: members of
 // a group often share inputs (e.g. the reference image), which are
-// transferred once.
+// transferred once. A job stages a handful of files, so a linear scan of
+// what is kept beats building a set.
 func dedup(names []string) []string {
-	seen := make(map[string]bool, len(names))
 	out := names[:0]
 	for _, n := range names {
-		if !seen[n] && !strings.HasPrefix(n, "tmp/") {
-			seen[n] = true
+		if !slices.Contains(out, n) && !strings.HasPrefix(n, "tmp/") {
 			out = append(out, n)
 		}
 	}

@@ -22,6 +22,8 @@ type Wrapper struct {
 	// job registers them in, which decides eviction victims and repair
 	// order downstream, so it must not depend on map iteration.
 	outs []output
+	// staged is the number of Staged inputs: every job's stage-in count.
+	staged int
 	// names counts invocations per index key, so output GFNs are unique
 	// yet deterministic: re-running the same workflow under different
 	// optimization settings produces identical output names, which is how
@@ -56,7 +58,13 @@ func NewWrapper(g Submitter, desc *descriptor.Description, run RuntimeModel, out
 		}
 		outs[i] = output{name: o.Name, prefix: "gfn://" + exe + "/" + o.Name + ".", sizeMB: mb}
 	}
-	return &Wrapper{g: g, desc: desc, run: run, outs: outs, names: newNamer()}, nil
+	staged := 0
+	for _, in := range desc.Executable.Inputs {
+		if in.Staged() {
+			staged++
+		}
+	}
+	return &Wrapper{g: g, desc: desc, run: run, outs: outs, staged: staged, names: newNamer()}, nil
 }
 
 // Name implements Service; the service is named after the wrapped code.
@@ -105,7 +113,7 @@ func (w *Wrapper) bind(req Request, decls []grid.FileDecl) (string, map[string]s
 // Invoke implements Service: one invocation is one grid job.
 func (w *Wrapper) Invoke(req Request, done func(Response)) {
 	key, outputs, decls := w.bind(req, make([]grid.FileDecl, 0, len(w.outs)))
-	stage, err := w.desc.StageIns(req.Inputs)
+	stage, err := w.desc.AppendStageIns(make([]string, 0, w.staged), req.Inputs)
 	if err != nil {
 		done(Response{Err: err})
 		return
