@@ -233,6 +233,8 @@ type Federation struct {
 	repairing  map[string]bool
 	repairs    int
 	repairedMB float64
+	// liveBuf is scheduleRepair's reused live-replica buffer.
+	liveBuf []grid.Replica
 }
 
 // New builds a federation of the configured grids on the engine, sharing

@@ -35,7 +35,10 @@ func (f *Federation) scheduleRepair(name string) {
 	if !ok {
 		return
 	}
-	live := f.catalog.LiveReplicas(name)
+	// The buffer is reused across repairs: nothing below re-enters
+	// scheduleRepair, and the transfer closure captures only src.
+	live := f.catalog.AppendLiveReplicas(f.liveBuf[:0], name)
+	f.liveBuf = live
 	if len(live) == 0 {
 		return
 	}
@@ -82,7 +85,7 @@ func (f *Federation) scheduleRepair(name string) {
 		return
 	}
 	// Best surviving source: the live replica with the cheapest link into
-	// the chosen target. LiveReplicas returns deterministic site order, so
+	// the chosen target. AppendLiveReplicas yields deterministic site order, so
 	// keeping the first minimum is the lexical tie-break.
 	dst := grid.Site{Grid: f.names[target]}
 	src := live[0].Site

@@ -149,6 +149,8 @@ func (c *Catalog) RegisterAt(name string, sizeMB float64, site Site) {
 // AddReplica records an additional copy of an already-registered file at
 // the given site, reporting false (and changing nothing) when the name is
 // unknown. Adding a replica at a site that already holds one is a no-op.
+// The copy that lifts the file above the eviction floor makes its copies
+// on every element evictable.
 func (c *Catalog) AddReplica(name string, site Site) bool {
 	e, ok := c.files[name]
 	if !ok {
@@ -163,6 +165,9 @@ func (c *Catalog) AddReplica(name string, site Site) bool {
 	copy(e.reps[i+1:], e.reps[i:])
 	e.reps[i] = Replica{Site: site, SizeMB: e.sizeMB}
 	c.addResident(name, e, site)
+	if len(c.storage) > 0 && len(e.reps) == c.floorOr1()+1 {
+		c.refreshEvictable(name, e)
+	}
 	return true
 }
 
@@ -184,7 +189,8 @@ func (e *catEntry) dropSite(site Site) bool {
 // false (and changing nothing) when the name or the replica is unknown.
 // The sorted-by-site invariant of the remaining set is preserved. The
 // copy leaves its site's storage element, and dropping the set below the
-// replication floor fires the repair hook. Removing the last replica
+// replication floor fires the repair hook; dropping it onto the eviction
+// floor makes its remaining copies unevictable. Removing the last replica
 // keeps the name registered with an empty set: the file is known but has
 // no fetchable copy, so stage plans report it unavailable (the replica-
 // lost path) rather than missing (the unregistered-name path).
@@ -194,6 +200,9 @@ func (c *Catalog) RemoveReplica(name string, site Site) bool {
 		return false
 	}
 	c.removeResident(name, site)
+	if len(c.storage) > 0 && len(e.reps) == c.floorOr1() {
+		c.refreshEvictable(name, e)
+	}
 	c.checkFloor(name, e)
 	return true
 }

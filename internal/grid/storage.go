@@ -27,9 +27,9 @@ type SEFile struct {
 // two candidates — eviction runs inside the single-threaded engine and
 // golden tests pin its drain order — and must be a strict total order on
 // distinct candidates (use the file name as the final tie-break): the
-// victim is the minimum under Before, found by one scan of the element's
-// residents in no particular order, so only a total order makes it
-// independent of that order.
+// victim is the minimum under Before, kept at the root of a binary heap
+// whose shape depends on the order residents arrived in, so only a total
+// order makes the root independent of that history.
 type EvictionPolicy interface {
 	// Name identifies the policy in reports and CLI tables.
 	Name() string
@@ -78,24 +78,31 @@ func (popularityPolicy) Before(a, b SEFile) bool {
 }
 
 // seFile is one resident copy on a storage element: the file's name and
-// catalog entry plus the access record eviction policies read. The entry
-// is arena-allocated, so the pointer stays valid for as long as the copy
-// is resident (a resident always leaves before its entry leaves the
-// catalog). The entry's sizeMB is the copy's size: a file is only resized
-// by RegisterAt, which drops every old resident first.
+// catalog entry plus the access record eviction policies read, and the
+// copy's position in the element's evictable heap (-1 while the file sits
+// at or below the replica floor). The entry is arena-allocated, so the
+// pointer stays valid for as long as the copy is resident (a resident
+// always leaves before its entry leaves the catalog). The entry's sizeMB
+// is the copy's size: a file is only resized by RegisterAt, which drops
+// every old resident first.
 type seFile struct {
 	name       string
 	entry      *catEntry
 	lastAccess sim.Time
 	hits       uint64
+	heapAt     int32
 }
 
 // seState is one site's active storage element: a capacity gauge over the
 // resident replicas, an eviction policy draining it under pressure, and
 // an up/down flag making the site's replicas unreachable while dark.
 // Residents live in a dense slice (removal swaps the last one into the
-// hole) indexed by name through slot, so victim selection is a flat scan
-// and the by-name paths are one map lookup.
+// hole) indexed by name through slot, so the by-name paths are one map
+// lookup. heap indexes the evictable residents — exactly those whose
+// file has more copies than the replica floor, dark copies counted — as
+// a binary min-heap of residency-list indices under the policy's Before,
+// so the victim is the root and a full element with nothing evictable
+// answers in O(1).
 type seState struct {
 	site      Site
 	gauge     *sim.Gauge
@@ -103,27 +110,166 @@ type seState struct {
 	down      bool
 	files     []seFile
 	slot      map[string]int
+	heap      []int32
 	evictions uint64
 	evictedMB float64
 }
 
-// admit appends a resident copy with a fresh access record.
-func (se *seState) admit(name string, e *catEntry, now sim.Time) {
-	se.slot[name] = len(se.files)
-	se.files = append(se.files, seFile{name: name, entry: e, lastAccess: now})
+// admit appends a resident copy with a fresh access record, indexing it
+// as a victim candidate when it is evictable.
+func (se *seState) admit(name string, e *catEntry, now sim.Time, evictable bool) {
+	i := len(se.files)
+	se.slot[name] = i
+	se.files = append(se.files, seFile{name: name, entry: e, lastAccess: now, heapAt: -1})
+	if evictable {
+		se.push(i)
+	}
 }
 
 // drop removes the resident at index i, moving the last resident into
-// its slot.
+// its slot (and its heap entry along with it).
 func (se *seState) drop(i int) {
+	if se.files[i].heapAt >= 0 {
+		se.remove(i)
+	}
 	last := len(se.files) - 1
 	delete(se.slot, se.files[i].name)
 	if i != last {
 		se.files[i] = se.files[last]
 		se.slot[se.files[i].name] = i
+		if h := se.files[i].heapAt; h >= 0 {
+			se.heap[h] = int32(i)
+		}
 	}
 	se.files[last] = seFile{}
 	se.files = se.files[:last]
+}
+
+// pickVictim returns the index in se.files of the policy-first evictable
+// resident, or -1 when nothing is evictable: the heap's root. The policy
+// is a strict total order, so the root is the unique minimum whatever
+// order the residents arrived in.
+func (se *seState) pickVictim() int {
+	if len(se.heap) == 0 {
+		return -1
+	}
+	return int(se.heap[0])
+}
+
+// setEvictable adds the resident at index i to the heap or takes it out.
+func (se *seState) setEvictable(i int, evictable bool) {
+	switch in := se.files[i].heapAt >= 0; {
+	case evictable && !in:
+		se.push(i)
+	case !evictable && in:
+		se.remove(i)
+	}
+}
+
+// rebuild re-derives every resident's heap membership under the given
+// floor and re-establishes the heap order.
+func (se *seState) rebuild(floor int) {
+	se.heap = se.heap[:0]
+	for i := range se.files {
+		f := &se.files[i]
+		f.heapAt = -1
+		if len(f.entry.reps) > floor {
+			f.heapAt = int32(len(se.heap))
+			se.heap = append(se.heap, int32(i))
+		}
+	}
+	se.heapify()
+}
+
+// heapify restores the heap order over the current members, as after a
+// policy change.
+func (se *seState) heapify() {
+	for h := len(se.heap)/2 - 1; h >= 0; h-- {
+		se.siftDown(h)
+	}
+}
+
+// push adds the resident at index i to the heap.
+func (se *seState) push(i int) {
+	h := len(se.heap)
+	se.files[i].heapAt = int32(h)
+	se.heap = append(se.heap, int32(i))
+	se.siftUp(h)
+}
+
+// remove takes the resident at index i out of the heap.
+func (se *seState) remove(i int) {
+	h, last := int(se.files[i].heapAt), len(se.heap)-1
+	if h != last {
+		se.swap(h, last)
+	}
+	se.heap = se.heap[:last]
+	se.files[i].heapAt = -1
+	if h != last {
+		se.fix(h)
+	}
+}
+
+// fix restores the heap order after the member at heap position h changed
+// its access record.
+func (se *seState) fix(h int) {
+	if !se.siftDown(h) {
+		se.siftUp(h)
+	}
+}
+
+// candidate is the policy's view of the heap member at position h.
+func (se *seState) candidate(h int) SEFile {
+	f := &se.files[se.heap[h]]
+	return SEFile{Name: f.name, SizeMB: f.entry.sizeMB, LastAccess: f.lastAccess, Hits: f.hits}
+}
+
+// less orders heap positions a and b under the element's policy.
+func (se *seState) less(a, b int) bool {
+	return se.policy.Before(se.candidate(a), se.candidate(b))
+}
+
+// swap exchanges heap positions a and b, keeping both residents' heapAt
+// current.
+func (se *seState) swap(a, b int) {
+	se.heap[a], se.heap[b] = se.heap[b], se.heap[a]
+	se.files[se.heap[a]].heapAt = int32(a)
+	se.files[se.heap[b]].heapAt = int32(b)
+}
+
+// siftUp moves the member at heap position h toward the root while it
+// precedes its parent.
+func (se *seState) siftUp(h int) {
+	for h > 0 {
+		p := (h - 1) / 2
+		if !se.less(h, p) {
+			return
+		}
+		se.swap(h, p)
+		h = p
+	}
+}
+
+// siftDown moves the member at heap position h0 toward the leaves while a
+// child precedes it, reporting whether it moved.
+func (se *seState) siftDown(h0 int) bool {
+	h, n := h0, len(se.heap)
+	for {
+		l := 2*h + 1
+		if l >= n {
+			break
+		}
+		m := l
+		if r := l + 1; r < n && se.less(r, l) {
+			m = r
+		}
+		if !se.less(m, h) {
+			break
+		}
+		se.swap(h, m)
+		h = m
+	}
+	return h > h0
 }
 
 // SEStat summarizes one storage element's state and accounting.
@@ -166,20 +312,23 @@ func (c *Catalog) ConfigureSE(site Site, capacityMB float64, policy EvictionPoli
 	key := site.key()
 	se, ok := c.storage[key]
 	if !ok {
-		se = &seState{site: site, slot: make(map[string]int)}
+		se = &seState{site: site, policy: policy, slot: make(map[string]int)}
 		c.storage[key] = se
 		// Adopt replicas already pinned at the site, in lexical name order
 		// so the residency list's order is deterministic.
+		floor := c.floorOr1()
 		for _, name := range c.Names() {
 			e := c.files[name]
 			for _, r := range e.reps {
 				if r.Site == site {
-					se.admit(name, e, c.clock())
+					se.admit(name, e, c.clock(), len(e.reps) > floor)
 				}
 			}
 		}
 	}
+	// A new policy orders the same evictable members differently.
 	se.policy = policy
+	se.heapify()
 	// Rebuild the level in lexical name order so the gauge's floating-
 	// point accumulation is independent of residency history.
 	gauge := sim.NewGauge(capacityMB)
@@ -277,12 +426,32 @@ func (c *Catalog) storageActive() bool { return len(c.storage) > 0 || c.anyDark(
 // SetReplicaFloor sets the replication floor k: eviction never drains a
 // replica of a file with k or fewer copies, and the repair hook (if set)
 // fires whenever a file's live copies drop below k. Zero or one means no
-// floor beyond the implicit last-copy protection.
+// floor beyond the implicit last-copy protection. Every element's
+// evictable index is rebuilt under the new floor.
 func (c *Catalog) SetReplicaFloor(k int) {
 	if k < 0 {
 		k = 0
 	}
 	c.floor = k
+	floor := c.floorOr1()
+	for _, key := range sortedKeys(c.storage) {
+		c.storage[key].rebuild(floor)
+	}
+}
+
+// refreshEvictable re-derives the heap membership of the file's residents
+// on every element holding a copy. Callers invoke it only when the copy
+// count has just crossed the eviction floor, the one change that flips
+// membership; a count moving above or below the floor flips nothing.
+func (c *Catalog) refreshEvictable(name string, e *catEntry) {
+	evictable := len(e.reps) > c.floorOr1()
+	for _, r := range e.reps {
+		if se := c.storage[r.Site.key()]; se != nil {
+			if i, ok := se.slot[name]; ok {
+				se.setEvictable(i, evictable)
+			}
+		}
+	}
 }
 
 // SetRepairHook registers the callback invoked, synchronously and inside
@@ -377,7 +546,7 @@ func (c *Catalog) addResident(name string, e *catEntry, site Site) {
 		return
 	}
 	c.ensureRoom(se, e.sizeMB)
-	se.admit(name, e, c.clock())
+	se.admit(name, e, c.clock(), len(e.reps) > c.floorOr1())
 	se.gauge.Add(e.sizeMB)
 }
 
@@ -412,7 +581,7 @@ func (c *Catalog) ensureRoom(se *seState, sizeMB float64) {
 		return
 	}
 	for se.gauge.Over(sizeMB) {
-		i := c.pickVictim(se)
+		i := se.pickVictim()
 		if i < 0 {
 			return
 		}
@@ -420,33 +589,12 @@ func (c *Catalog) ensureRoom(se *seState, sizeMB float64) {
 	}
 }
 
-// pickVictim returns the index in se.files of the policy-first evictable
-// resident, or -1 when nothing is evictable. It is one allocation-free
-// scan of the residency list: the policy is a strict total order, so the
-// minimum is unique and the scan order cannot change it (and the list's
-// order is itself a deterministic function of history).
-func (c *Catalog) pickVictim(se *seState) int {
-	floor := c.floorOr1()
-	best := -1
-	var bestFile SEFile
-	for i := range se.files {
-		f := &se.files[i]
-		if len(f.entry.reps) <= floor {
-			continue
-		}
-		cand := SEFile{Name: f.name, SizeMB: f.entry.sizeMB, LastAccess: f.lastAccess, Hits: f.hits}
-		if best < 0 || se.policy.Before(cand, bestFile) {
-			best, bestFile = i, cand
-		}
-	}
-	return best
-}
-
 // evictReplica drains the resident at index i from the element: the
 // replica set loses the copy, the gauge frees its bytes, and the eviction
-// counters grow. The floor guard in pickVictim leaves the file's replica
-// set at or above the floor — copies on dark storage count — so eviction
-// never fires the repair hook.
+// counters grow. Only evictable residents are victims, so the file's
+// replica set stays at or above the floor — copies on dark storage count
+// — and eviction never fires the repair hook; landing exactly on the
+// floor makes the file's copies on other elements unevictable.
 func (c *Catalog) evictReplica(se *seState, i int) {
 	f := se.files[i]
 	se.evictions++
@@ -454,6 +602,9 @@ func (c *Catalog) evictReplica(se *seState, i int) {
 	se.gauge.Remove(f.entry.sizeMB)
 	se.drop(i)
 	f.entry.dropSite(se.site)
+	if len(f.entry.reps) == c.floorOr1() {
+		c.refreshEvictable(f.name, f.entry)
+	}
 }
 
 // touch records an actual stage-in access of the replica on its site's
@@ -470,6 +621,9 @@ func (c *Catalog) touch(name string, rep Replica) {
 		f := &se.files[i]
 		f.lastAccess = c.clock()
 		f.hits++
+		if f.heapAt >= 0 {
+			se.fix(int(f.heapAt))
+		}
 	}
 }
 
@@ -490,19 +644,30 @@ func (c *Catalog) legDark(l RemoteLeg) bool {
 
 // LiveReplicas returns the file's currently reachable replicas (dark
 // sites excluded) in deterministic site order — nil for an unregistered
-// name. Repair loops use it to pick a copy source.
+// name.
 func (c *Catalog) LiveReplicas(name string) []Replica {
 	e, ok := c.files[name]
 	if !ok {
 		return nil
 	}
-	out := make([]Replica, 0, len(e.reps))
+	return c.AppendLiveReplicas(make([]Replica, 0, len(e.reps)), name)
+}
+
+// AppendLiveReplicas appends the file's currently reachable replicas
+// (dark sites excluded) to dst in deterministic site order and returns
+// the extended slice — dst unchanged for an unregistered name. Repair
+// loops use it to pick a copy source into a reused buffer.
+func (c *Catalog) AppendLiveReplicas(dst []Replica, name string) []Replica {
+	e, ok := c.files[name]
+	if !ok {
+		return dst
+	}
 	for _, r := range e.reps {
 		if !c.SiteDark(r.Site) {
-			out = append(out, r)
+			dst = append(dst, r)
 		}
 	}
-	return out
+	return dst
 }
 
 // SEUsedMB returns the resident bytes of the site's configured storage

@@ -252,6 +252,13 @@ func TestPlanSkipsDarkReplicas(t *testing.T) {
 	if live := c.LiveReplicas("f"); len(live) != 1 || live[0].Site != sB {
 		t.Errorf("LiveReplicas = %+v, want the sB copy only", live)
 	}
+	prior := []Replica{{Site: sA}}
+	if live := c.AppendLiveReplicas(prior, "f"); len(live) != 2 || live[0].Site != sA || live[1].Site != sB {
+		t.Errorf("AppendLiveReplicas = %+v, want the prior entry then the sB copy", live)
+	}
+	if live := c.AppendLiveReplicas(prior, "nope"); len(live) != 1 {
+		t.Errorf("AppendLiveReplicas of an unknown name = %+v, want dst unchanged", live)
+	}
 
 	c.SetSEDown(sB, true)
 	if p := c.Plan([]string{"f"}, sA); p.Unavailable != "f" {

@@ -88,6 +88,7 @@ var libraryGolden = map[string]uint64{
 	"metropolis":        0x11d3a29a2f81769e,
 	"population-burst":  0x73d61f43d3bab4d9,
 	"se-churn":          0xdca9732973289d06,
+	"se-churn-lru":      0x797c49b5f3395606,
 }
 
 // TestScenarioLibraryDeterminism is the per-scenario golden gate: every
