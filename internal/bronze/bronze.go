@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/federation"
 	"repro/internal/grid"
 	"repro/internal/rng"
 	"repro/internal/services"
@@ -65,43 +66,45 @@ type Params struct {
 	Seed uint64
 }
 
-// DefaultParams returns the calibrated experiment setup.
+// DefaultParams returns the calibrated experiment setup on the
+// production-grid model, grid.DefaultConfig.
 func DefaultParams() Params {
-	return Params{Grid: DefaultGrid(), Seed: 1}
-}
-
-// DefaultGrid returns the production-grid model used by the experiments:
-// the package default tuned to the contention regime the paper describes
-// (high, variable overhead; bursts exceeding free capacity).
-func DefaultGrid() grid.Config {
-	cfg := grid.DefaultConfig()
-	return cfg
+	return Params{Grid: grid.DefaultConfig(), Seed: 1}
 }
 
 // App is a ready-to-run Bronze Standard instance.
 type App struct {
-	Eng    *sim.Engine
+	Eng *sim.Engine
+	// Fed is the one-grid federation the services submit through.
+	Fed *federation.Federation
+	// Grid is the federation's only member, Fed.Grid(0).
 	Grid   *grid.Grid
 	WF     *workflow.Workflow
 	Inputs map[string][]string
-	NPairs int
 }
 
-// Build assembles the engine, grid, image database, services, and
+// Build assembles the engine, a one-grid federation with local links
+// (the paper's single grid), the image database, the services and the
 // workflow for nPairs image pairs.
 func Build(nPairs int, p Params) (*App, error) {
 	if nPairs <= 0 {
 		return nil, fmt.Errorf("bronze: need at least one image pair")
 	}
 	if len(p.Grid.Clusters) == 0 {
-		p.Grid = DefaultGrid()
+		p.Grid = grid.DefaultConfig()
 	}
 	if p.Grid.Seed == 0 {
 		// Derive the infrastructure stream from the experiment seed.
 		p.Grid.Seed = p.Seed ^ 0x5eed
 	}
 	eng := sim.NewEngine()
-	g := grid.New(eng, p.Grid)
+	fed, err := federation.New(eng, federation.Config{
+		Grids: []federation.GridSpec{{Config: p.Grid}},
+		Links: grid.LocalLinks(),
+	})
+	if err != nil {
+		return nil, fmt.Errorf("bronze: %w", err)
+	}
 
 	// The synthetic image database: nPairs (reference, floating) volumes.
 	refs := make([]string, nPairs)
@@ -109,24 +112,24 @@ func Build(nPairs int, p Params) (*App, error) {
 	for i := 0; i < nPairs; i++ {
 		refs[i] = fmt.Sprintf("gfn://lacassagne/ref%03d", i)
 		flos[i] = fmt.Sprintf("gfn://lacassagne/flo%03d", i)
-		g.Catalog().Register(refs[i], ImageSizeMB)
-		g.Catalog().Register(flos[i], ImageSizeMB)
+		fed.Catalog().Register(refs[i], ImageSizeMB)
+		fed.Catalog().Register(flos[i], ImageSizeMB)
 	}
 
-	wf, err := buildWorkflow(g, rng.New(p.Seed^0xb202e))
+	wf, err := buildWorkflow(fed, rng.New(p.Seed^0xb202e))
 	if err != nil {
 		return nil, err
 	}
 	return &App{
 		Eng:  eng,
-		Grid: g,
+		Fed:  fed,
+		Grid: fed.Grid(0),
 		WF:   wf,
 		Inputs: map[string][]string{
 			"referenceImage": refs,
 			"floatingImage":  flos,
 			"methodToTest":   {"Baladin"},
 		},
-		NPairs: nPairs,
 	}, nil
 }
 
@@ -148,14 +151,14 @@ func hash(s string) uint64 {
 	return h
 }
 
-// buildWorkflow constructs the Fig. 9 graph.
-func buildWorkflow(g *grid.Grid, r *rng.Source) (*workflow.Workflow, error) {
+// buildWorkflow constructs the Fig. 9 graph, submitting through sub.
+func buildWorkflow(sub services.Submitter, r *rng.Source) (*workflow.Workflow, error) {
 	descs, err := parsedDescriptors()
 	if err != nil {
 		return nil, err
 	}
 	wrap := func(name string, outSizes map[string]float64) (*services.Wrapper, error) {
-		return services.NewWrapper(g, descs[name], model(name, r), outSizes)
+		return services.NewWrapper(sub, descs[name], model(name, r), outSizes)
 	}
 
 	crestLines, err := wrap("crestLines",

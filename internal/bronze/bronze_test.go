@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/grid"
 	"repro/internal/services"
 )
 
@@ -122,6 +123,38 @@ func TestEndToEndRun(t *testing.T) {
 	}
 	if mttStart < lastReg {
 		t.Errorf("MultiTransfoTest started at %v before last registration at %v", mttStart, lastReg)
+	}
+}
+
+// TestRunsOnOneGridFederation pins the application's one infrastructure
+// path: the services submit through a one-grid federation, whose record
+// list is the member grid's, and whose settle hook observed every
+// completed job.
+func TestRunsOnOneGridFederation(t *testing.T) {
+	_, app, err := Run(4, core.Options{DataParallelism: true, ServiceParallelism: true}, smallParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if app.Fed.Size() != 1 || app.Grid != app.Fed.Grid(0) {
+		t.Fatalf("federation of %d grids, App.Grid is its member 0: %v; want 1, true",
+			app.Fed.Size(), app.Grid == app.Fed.Grid(0))
+	}
+	fedRecs, gridRecs := app.Fed.Records(), app.Grid.Records()
+	if len(fedRecs) != len(gridRecs) {
+		t.Fatalf("federation dispatched %d jobs, grid ran %d", len(fedRecs), len(gridRecs))
+	}
+	completed := 0
+	for i, r := range gridRecs {
+		if fedRecs[i] != r {
+			t.Errorf("record %d: the federation's is not the grid's", i)
+		}
+		if r.Status == grid.StatusCompleted {
+			completed++
+		}
+	}
+	tel := app.Fed.Telemetry(0)
+	if tel.Dispatched != len(gridRecs) || tel.Observed != completed {
+		t.Errorf("telemetry dispatched %d, observed %d; want %d, %d", tel.Dispatched, tel.Observed, len(gridRecs), completed)
 	}
 }
 

@@ -148,8 +148,9 @@ type Outage struct {
 }
 
 // Telemetry is the federation's smoothed overhead view of one member
-// grid, maintained from the terminal records of the jobs the federation
-// dispatched there. It is the observational input of the Ranked policy.
+// grid, maintained from the terminal record of every job that settles
+// there (the grid's settle hook, installed by New). It is the
+// observational input of the Ranked policy.
 type Telemetry struct {
 	// Dispatched counts jobs the broker sent to this grid (re-brokered
 	// arrivals included).
@@ -309,6 +310,7 @@ func New(eng *sim.Engine, cfg Config) (*Federation, error) {
 		gs.Config.Name = name
 		f.names = append(f.names, name)
 		f.grids = append(f.grids, grid.NewWithCatalog(eng, gs.Config, f.catalog))
+		f.grids[i].SetSettleHook(func(r *grid.JobRecord) { f.observe(i, r) })
 		if cfg.SECapacityMB > 0 {
 			// Active storage: the grid-level SE (where repair copies and
 			// campaign-registered inputs land) and each cluster's close SE
@@ -590,22 +592,26 @@ func (f *Federation) pick(spec grid.JobSpec, exclude int) int {
 	return idx
 }
 
-// dispatch submits one attempt to member grid idx and arms the re-broker:
-// on terminal failure with retries left, the policy picks another grid
+// dispatch submits one attempt to member grid idx. A job that may move
+// arms the re-broker: on terminal failure, the policy picks another grid
 // (excluding the one that just failed) and the spec is resubmitted there
-// as a fresh job. Each attempt's record lands in the federation's and the
-// tenant's record lists.
+// as a fresh job. Any other job hands done straight to the grid. Each
+// attempt's record lands in the federation's and the tenant's record
+// lists.
 func (f *Federation) dispatch(t *Tenant, spec grid.JobSpec, done func(*grid.JobRecord), idx, retries int) *grid.JobRecord {
 	f.telem[idx].Dispatched++
-	rec := f.grids[idx].SubmitAs(t.name, spec, func(r *grid.JobRecord) {
-		f.observe(idx, r)
-		if r.Status == grid.StatusFailed && retries > 0 && len(f.grids) > 1 && rebrokerable(r) {
-			f.telem[idx].Rebrokered++
-			f.dispatch(t, spec, done, f.pick(spec, idx), retries-1)
-			return
+	settle := done
+	if retries > 0 && len(f.grids) > 1 {
+		settle = func(r *grid.JobRecord) {
+			if r.Status == grid.StatusFailed && rebrokerable(r) {
+				f.telem[idx].Rebrokered++
+				f.dispatch(t, spec, done, f.pick(spec, idx), retries-1)
+				return
+			}
+			done(r)
 		}
-		done(r)
-	})
+	}
+	rec := f.grids[idx].SubmitAs(t.name, spec, settle)
 	f.records = append(f.records, rec)
 	t.records = append(t.records, rec)
 	return rec

@@ -138,6 +138,82 @@ func TestRankedTelemetryTracksPhases(t *testing.T) {
 	}
 }
 
+// TestTelemetryObservedBeforeDone: the member grid's settle hook folds a
+// completed job into the telemetry before the caller's callback runs,
+// both when dispatch hands done straight to the grid (nothing to
+// re-broker to) and when it wraps done to arm the re-broker.
+func TestTelemetryObservedBeforeDone(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		grids    int
+		rebroker int
+	}{
+		{"one-grid/direct", 1, 0},
+		{"two-grid/no-rebroker/direct", 2, 0},
+		{"two-grid/rebroker/wrapped", 2, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			specs := make([]GridSpec, c.grids)
+			for i := range specs {
+				specs[i] = GridSpec{Config: testGridConfig(4, 2*time.Second)}
+			}
+			f, err := New(eng, Config{Grids: specs, Policy: RoundRobin(), Rebroker: c.rebroker})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const jobs = 4
+			seen := 0
+			for i := 0; i < jobs; i++ {
+				f.Submit(job(i), func(r *grid.JobRecord) {
+					seen++
+					observed := 0
+					for g := 0; g < f.Size(); g++ {
+						observed += f.Telemetry(g).Observed
+					}
+					if r.Status != grid.StatusCompleted || observed != seen {
+						t.Errorf("done #%d (%v): telemetry observed %d jobs, want %d", seen, r.Status, observed, seen)
+					}
+				})
+			}
+			eng.Run()
+			if seen != jobs {
+				t.Fatalf("done ran %d times, want %d", seen, jobs)
+			}
+		})
+	}
+}
+
+// TestDispatchAllocsMatchBareGrid: a job the federation cannot re-broker
+// costs no more allocations, from submit to settle, than the same job on
+// a bare grid — dispatch hands the caller's callback to the member grid
+// instead of wrapping it.
+func TestDispatchAllocsMatchBareGrid(t *testing.T) {
+	spec := job(0)
+	done := func(*grid.JobRecord) {}
+	cycle := func(eng *sim.Engine, sub func(grid.JobSpec, func(*grid.JobRecord)) *grid.JobRecord) float64 {
+		// Warm the pools, arenas and queues first.
+		for i := 0; i < 64; i++ {
+			sub(spec, done)
+			eng.Run()
+		}
+		return testing.AllocsPerRun(500, func() {
+			sub(spec, done)
+			eng.Run()
+		})
+	}
+	bareEng := sim.NewEngine()
+	bare := cycle(bareEng, grid.New(bareEng, testGridConfig(4, 2*time.Second)).Submit)
+	fedEng := sim.NewEngine()
+	f, err := New(fedEng, Config{Grids: []GridSpec{{Config: testGridConfig(4, 2*time.Second)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fed := cycle(fedEng, f.Submit); fed > bare {
+		t.Errorf("federated submit-to-settle allocates %.0f objects per job, bare grid %.0f", fed, bare)
+	}
+}
+
 // TestRebrokerMovesTerminalFailures: a job that exhausts its retries on
 // the pinned grid is transparently resubmitted to another grid and
 // completes there; the caller's callback sees only the final record.

@@ -56,7 +56,7 @@ func TestRepairRetriesAfterSourceDeath(t *testing.T) {
 	eng.Schedule(10*time.Second, func() { f.SetStorageDown(0) })
 	eng.Run()
 
-	live := cat.LiveReplicas("gfn://x")
+	live := cat.AppendLiveReplicas(nil, "gfn://x")
 	if len(live) != 3 {
 		t.Fatalf("live replicas after source death = %d (%v), want the floor of 3 (repair must re-try from the survivor)", len(live), live)
 	}

@@ -221,6 +221,7 @@ type Grid struct {
 	rnd      *rng.Source
 	records  []*JobRecord
 	nextID   int
+	settled  func(*JobRecord) // the settle hook, see SetSettleHook
 
 	// The middleware overhead distributions, solved once from
 	// cfg.Overheads (see durationDist).
@@ -309,6 +310,12 @@ func NewWithCatalog(eng *sim.Engine, cfg Config, cat *Catalog) *Grid {
 // makes *Grid satisfy services.Submitter, so single-workflow code passes
 // the grid where campaigns pass a *federation.Tenant.
 func (g *Grid) Catalog() *Catalog { return g.catalog }
+
+// SetSettleHook registers the callback invoked at every job's terminal
+// settlement, just before the submitter's own completion callback.
+// Federations fold each settled record into their per-grid telemetry
+// through it, instead of wrapping every submitter's callback.
+func (g *Grid) SetSettleHook(h func(*JobRecord)) { g.settled = h }
 
 // Name returns the grid's configured name — the Site.Grid component of
 // every replica its jobs register (empty for an unnamed standalone grid).

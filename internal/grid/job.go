@@ -525,11 +525,14 @@ func (g *Grid) settle(run *jobRun, failed bool) {
 }
 
 // finish delivers the terminal settlement: the run is recycled first (it
-// carries nothing the callback needs beyond the record), then the
-// caller's completion callback fires exactly once.
+// carries nothing the callbacks need beyond the record), then the settle
+// hook and the caller's completion callback fire, each exactly once.
 func (g *Grid) finish(run *jobRun) {
 	rec, done := run.rec, run.done
 	g.putRun(run)
+	if g.settled != nil {
+		g.settled(rec)
+	}
 	done(rec)
 }
 

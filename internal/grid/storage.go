@@ -642,17 +642,6 @@ func (c *Catalog) legDark(l RemoteLeg) bool {
 	return false
 }
 
-// LiveReplicas returns the file's currently reachable replicas (dark
-// sites excluded) in deterministic site order — nil for an unregistered
-// name.
-func (c *Catalog) LiveReplicas(name string) []Replica {
-	e, ok := c.files[name]
-	if !ok {
-		return nil
-	}
-	return c.AppendLiveReplicas(make([]Replica, 0, len(e.reps)), name)
-}
-
 // AppendLiveReplicas appends the file's currently reachable replicas
 // (dark sites excluded) to dst in deterministic site order and returns
 // the extended slice — dst unchanged for an unregistered name. Repair

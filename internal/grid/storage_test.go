@@ -249,8 +249,8 @@ func TestPlanSkipsDarkReplicas(t *testing.T) {
 	if p.FragileMB != 100 || p.FragileTime != p.RemoteTime {
 		t.Errorf("fragile accounting = %v MB / %v, want 100 / %v", p.FragileMB, p.FragileTime, p.RemoteTime)
 	}
-	if live := c.LiveReplicas("f"); len(live) != 1 || live[0].Site != sB {
-		t.Errorf("LiveReplicas = %+v, want the sB copy only", live)
+	if live := c.AppendLiveReplicas(nil, "f"); len(live) != 1 || live[0].Site != sB {
+		t.Errorf("AppendLiveReplicas(nil) = %+v, want the sB copy only", live)
 	}
 	prior := []Replica{{Site: sA}}
 	if live := c.AppendLiveReplicas(prior, "f"); len(live) != 2 || live[0].Site != sA || live[1].Site != sB {

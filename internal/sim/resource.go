@@ -33,7 +33,7 @@ type waiter struct {
 	arg any
 }
 
-// hold is the recycled bookkeeping of one Use/UseWait hold: the slot wait
+// hold is the recycled bookkeeping of one Use/UseWaitArg hold: the slot wait
 // start, the hold duration, and the completion callback. It cycles
 // acquire → schedule → release through package-level functions, so the
 // whole hold costs zero allocations once the resource's free list is warm.
@@ -151,28 +151,12 @@ func (r *Resource) Use(d Time, done func()) {
 // func value is pointer-shaped, so boxing it in the arg slot is free.
 func useDone(arg any, _ Time) { arg.(func())() }
 
-// UseWait is Use with wait-time reporting: it acquires a slot, holds it
-// for d, releases it, and calls done (which may be nil) with the virtual
-// time the request spent queued before the grant (zero when a slot was
-// free on arrival). It is the building block of contended transfer
-// channels, whose callers account channel congestion separately from the
-// transfer itself.
-func (r *Resource) UseWait(d Time, done func(waited Time)) {
-	if done == nil {
-		r.UseWaitArg(d, nil, nil)
-		return
-	}
-	r.UseWaitArg(d, useWaitDone, done)
-}
-
-// useWaitDone adapts a UseWait completion callback to the UseWaitArg shape.
-func useWaitDone(arg any, waited Time) { arg.(func(Time))(waited) }
-
-// UseWaitArg is UseWait for argument-passing callbacks: it acquires a
-// slot, holds it for d, releases it, and calls done(arg, waited) — done
-// may be nil — where waited is the virtual time the request spent queued
-// before the grant. The per-hold bookkeeping is recycled through the
-// resource's free list, so a warm hold allocates nothing.
+// UseWaitArg acquires a slot, holds it for d, releases it, and calls
+// done(arg, waited) — done may be nil — where waited is the virtual time
+// the request spent queued before the grant (zero when a slot was free).
+// Contended transfer channels build on it to account congestion apart
+// from the transfer itself. Holds are recycled through the resource's
+// free list, so a warm hold allocates nothing.
 func (r *Resource) UseWaitArg(d Time, done func(any, Time), arg any) {
 	var h *hold
 	if n := len(r.freeHolds); n > 0 {

@@ -698,34 +698,40 @@ func TestResourcePeakStatsBatchedSameBucket(t *testing.T) {
 	}
 }
 
-// TestUseWaitReportsQueueTime pins the UseWait contract: the callback
-// receives exactly the time spent queued before the grant (zero for the
-// immediate grant), and the holds still serialize FIFO.
+// TestUseWaitReportsQueueTime pins the UseWaitArg contract: the callback
+// receives its argument and exactly the time spent queued before the
+// grant (zero for the immediate grant), and the holds still serialize
+// FIFO.
 func TestUseWaitReportsQueueTime(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, 1)
-	var waits []Time
+	type hold struct {
+		id     int
+		waited Time
+	}
+	var got []hold
+	record := func(arg any, w Time) { got = append(got, hold{arg.(int), w}) }
 	for i := 0; i < 3; i++ {
-		r.UseWait(time.Second, func(w Time) { waits = append(waits, w) })
+		r.UseWaitArg(time.Second, record, i)
 	}
 	if r.Waiting() != 2 {
 		t.Fatalf("Waiting = %d, want 2", r.Waiting())
 	}
 	e.Run()
-	want := []Time{0, time.Second, 2 * time.Second}
-	if len(waits) != len(want) {
-		t.Fatalf("waits = %v, want %v", waits, want)
+	want := []hold{{0, 0}, {1, time.Second}, {2, 2 * time.Second}}
+	if len(got) != len(want) {
+		t.Fatalf("holds = %v, want %v", got, want)
 	}
 	for i := range want {
-		if waits[i] != want[i] {
-			t.Errorf("waits[%d] = %v, want %v", i, waits[i], want[i])
+		if got[i] != want[i] {
+			t.Errorf("hold %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
 	// A nil done must not crash the release path.
-	r.UseWait(time.Second, nil)
+	r.UseWaitArg(time.Second, nil, nil)
 	e.Run()
 	if r.Busy() != 0 {
-		t.Errorf("Busy = %d after nil-done UseWait drained", r.Busy())
+		t.Errorf("Busy = %d after nil-done UseWaitArg drained", r.Busy())
 	}
 }
 
