@@ -34,7 +34,8 @@ scenarios:
 
 # Online broker daemon smoke: boot moteurd on the clean baseline at high
 # warp, submit a job over HTTP, assert /metrics serves the per-grid
-# EWMAs, take a snapshot over HTTP, then SIGTERM and check the final
+# EWMAs and job lifecycle counts, take a snapshot over HTTP (which
+# renders the same view as JSON), then SIGTERM and check the final
 # on-disk snapshot landed. Exercises the whole daemon path end to end
 # from outside the process, curl only.
 daemon-smoke:
@@ -52,7 +53,9 @@ daemon-smoke:
 		-d '{"tenant":"smoke","name":"probe","runtimeSeconds":30}' | grep -q '"ids"'; \
 	curl -sf http://127.0.0.1:18321/metrics | grep -q 'moteur_grid_submit_ewma_seconds{grid="g0"}'; \
 	curl -sf http://127.0.0.1:18321/metrics | grep -q 'moteur_grid_queue_ewma_seconds{grid="g1"}'; \
+	curl -sf http://127.0.0.1:18321/metrics | grep -q '^moteur_jobs{status="completed"} '; \
 	curl -sf http://127.0.0.1:18321/snapshot | grep -q '"scenario": "clean-baseline"'; \
+	curl -sf http://127.0.0.1:18321/snapshot | grep -q '"jobsByStatus"'; \
 	kill -TERM $$pid; wait $$pid; \
 	grep -q '"final": true' "$$dir/latest.json"; \
 	echo "daemon-smoke: OK"

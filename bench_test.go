@@ -71,13 +71,13 @@ func BenchmarkTable2(b *testing.B) {
 	b.ReportMetric(intercept, "NOP_yint_s")
 }
 
-// BenchmarkFigure10 regenerates the Figure 10 series over five input
-// sizes; sim_s reports the SP+DP+JG execution time at the largest size.
+// BenchmarkFigure10 regenerates the Figure 10 series (Table1's rows) over
+// five input sizes; sim_s reports the SP+DP+JG execution time at the largest size.
 func BenchmarkFigure10(b *testing.B) {
 	sizes := []int{12, 36, 66, 96, 126}
 	var last time.Duration
 	for i := 0; i < b.N; i++ {
-		rows, err := bronze.Figure10(sizes, bronze.DefaultParams())
+		rows, err := bronze.Table1(sizes, bronze.DefaultParams())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -218,14 +218,9 @@ func FormatTable2(rows []RegressionRow) string {
 	return b.String()
 }
 
-// Figure10 produces the execution-time series (per configuration) over
-// arbitrary sizes, for plotting time-versus-size curves.
-func Figure10(sizes []int, p Params) ([]Row, error) {
-	return Table1(sizes, p)
-}
-
-// FormatFigure10 renders the series as a gnuplot-friendly table of hours
-// versus input size.
+// FormatFigure10 renders Table1's rows as the Figure 10 execution-time
+// series: a gnuplot-friendly table of hours versus input size, one column
+// per configuration.
 func FormatFigure10(rows []Row) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# pairs")

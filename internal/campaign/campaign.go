@@ -135,7 +135,11 @@ type Adaptation struct {
 	Overhead  time.Duration // observed mean overhead fed into the model
 }
 
-// TenantResult is one tenant's outcome.
+// TenantResult is one tenant's outcome. It carries no per-invocation
+// history (trace, provenance, sink items): a campaign releases each
+// tenant's enactor once the tenant is terminal, so a Report stays small
+// however long the campaign ran. Callers that need the history enact
+// with core directly.
 type TenantResult struct {
 	Name    string
 	Arrival time.Duration
@@ -144,7 +148,6 @@ type TenantResult struct {
 	// Finish − Arrival (zero if the run failed or stalled).
 	Finish   time.Duration
 	Makespan time.Duration
-	Result   *core.Result
 	Err      error
 	// AdmissionDelay is how long admission control held the tenant back
 	// beyond its specified Arrival before letting it start (zero without
@@ -169,13 +172,15 @@ type Report struct {
 	GlobalPhases grid.PhaseStats
 }
 
-// tenantRun is the mutable state of one tenant during a campaign.
+// tenantRun is the mutable state of one tenant during a campaign. en
+// and inputs live only as long as they are needed: Start consumes the
+// inputs, and a terminal tenant drops its enactor, so a finished tenant
+// pins none of its workflow, trace or provenance.
 type tenantRun struct {
 	spec        *TenantSpec
 	tenant      *federation.Tenant
 	en          *core.Enactor
 	inputs      map[string][]string
-	res         *core.Result
 	err         error
 	finished    bool
 	finish      sim.Time
@@ -270,7 +275,6 @@ func (x *Execution) Report() *Report {
 		tr := TenantResult{
 			Name:           r.spec.Name,
 			Arrival:        r.spec.Arrival,
-			Result:         r.res,
 			Err:            r.err,
 			AdmissionDelay: r.admitDelay,
 			Overheads:      r.tenant.Overheads(),
@@ -380,14 +384,15 @@ func StartSite(f *federation.Federation, specs []TenantSpec, adm Admission) (*Ex
 				return
 			}
 			r.admitDelay = time.Duration(eng.Now() - arrival)
-			err := r.en.Start(r.inputs, func(res *core.Result, err error) {
-				r.res, r.err = res, err
+			err := r.en.Start(r.inputs, func(_ *core.Result, err error) {
+				r.err, r.en = err, nil
 				r.finished = true
 				r.finish = eng.Now()
 				x.remaining--
 			})
+			r.inputs = nil
 			if err != nil && !r.finished {
-				r.err, r.finished, r.finish = err, true, eng.Now()
+				r.err, r.en, r.finished, r.finish = err, nil, true, eng.Now()
 				x.remaining--
 			}
 			if r.spec.Adapt != nil && !r.finished {

@@ -3,9 +3,11 @@ package campaign
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"weak"
 
 	"repro/internal/core"
 	"repro/internal/federation"
@@ -55,6 +57,20 @@ func runOneGrid(t testing.TB, cfg grid.Config, specs []TenantSpec, adm Admission
 	return rep, f
 }
 
+// sinkItems counts the items that reached a SyntheticChain tenant's sink:
+// each is one output of the chain's last stage, registered in the
+// federation catalog under that stage's executable name.
+func sinkItems(f *federation.Federation, tenant string, stages int) int {
+	prefix := fmt.Sprintf("gfn://%s.stage%02d/out.", tenant, stages-1)
+	n := 0
+	for _, name := range f.Catalog().Names() {
+		if strings.HasPrefix(name, prefix) {
+			n++
+		}
+	}
+	return n
+}
+
 func spdp() core.Options {
 	return core.Options{DataParallelism: true, ServiceParallelism: true}
 }
@@ -64,7 +80,7 @@ func TestCampaignSingleTenantMatchesSoloRun(t *testing.T) {
 	// an identical grid: same makespan, same output count.
 	build := SyntheticChain(3, 5, 10*time.Second, 1)
 
-	rep, _ := runOneGrid(t, testGrid(16), []TenantSpec{{Name: "solo", Opts: spdp(), Build: build}}, Admission{})
+	rep, f := runOneGrid(t, testGrid(16), []TenantSpec{{Name: "solo", Opts: spdp(), Build: build}}, Admission{})
 	tr := rep.Tenants[0]
 	if tr.Err != nil {
 		t.Fatal(tr.Err)
@@ -86,7 +102,7 @@ func TestCampaignSingleTenantMatchesSoloRun(t *testing.T) {
 	if tr.Makespan != res.Makespan {
 		t.Fatalf("campaign makespan %v != solo makespan %v", tr.Makespan, res.Makespan)
 	}
-	if got := len(tr.Result.Outputs["sink"]); got != 5 {
+	if got := sinkItems(f, "solo", 3); got != 5 {
 		t.Fatalf("sink items = %d, want 5", got)
 	}
 }
@@ -298,7 +314,7 @@ func TestCampaignAdaptiveGranularity(t *testing.T) {
 	if !raised {
 		t.Fatalf("overhead-dominated grid never drove the batch size above 1: %+v", tr.Adaptations)
 	}
-	if got := len(tr.Result.Outputs["sink"]); got != 40 {
+	if got := sinkItems(f, "adaptive", 2); got != 40 {
 		t.Fatalf("sink items = %d, want 40", got)
 	}
 	// Batching must show up as fewer grid jobs than the unbatched 2×40.
@@ -510,4 +526,80 @@ func TestCampaignStalledAdaptiveTenantTerminates(t *testing.T) {
 	if !errors.Is(rep.Tenants[0].Err, core.ErrStalled) {
 		t.Fatalf("tenant err = %v, want ErrStalled", rep.Tenants[0].Err)
 	}
+}
+
+func TestFinishedTenantReleasesHistory(t *testing.T) {
+	// A terminal tenant pins none of its enactor's history: once it is
+	// done, its workflow (and with it the trace, invocation arena and
+	// provenance items) is garbage while the campaign's Execution or
+	// Report is still held — the daemon's case, which keeps both for the
+	// life of the process.
+	tenant := func(wp *weak.Pointer[workflow.Workflow], build BuildFunc) []TenantSpec {
+		return []TenantSpec{{Name: "t", Opts: spdp(), Build: func(h Handle) (*workflow.Workflow, map[string][]string, error) {
+			wf, inputs, err := build(h)
+			*wp = weak.Make(wf)
+			return wf, inputs, err
+		}}}
+	}
+	chain := SyntheticChain(2, 4, 10*time.Second, 1)
+	released := func(t *testing.T, wp weak.Pointer[workflow.Workflow]) {
+		t.Helper()
+		runtime.GC()
+		if wp.Value() != nil {
+			t.Fatal("a finished tenant's workflow is still reachable")
+		}
+	}
+
+	// drive steps a StartSite campaign to completion and returns the
+	// Execution, which the caller keeps reachable as the daemon does.
+	drive := func(t *testing.T, specs []TenantSpec) *Execution {
+		t.Helper()
+		f := oneGrid(t, testGrid(8))
+		x, err := StartSite(f, specs, Admission{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for !x.Done() && f.Engine().Step() {
+		}
+		if !x.Done() {
+			t.Fatal("campaign did not finish")
+		}
+		return x
+	}
+
+	t.Run("StartSite", func(t *testing.T) {
+		var wp weak.Pointer[workflow.Workflow]
+		x := drive(t, tenant(&wp, chain))
+		released(t, wp)
+		if st := x.Tenants()[0]; !st.Finished || st.Err != nil {
+			t.Fatalf("tenant status %+v, want finished without error", st)
+		}
+	})
+
+	t.Run("RunSite", func(t *testing.T) {
+		var wp weak.Pointer[workflow.Workflow]
+		rep, f := runOneGrid(t, testGrid(8), tenant(&wp, chain), Admission{})
+		released(t, wp)
+		if tr := rep.Tenants[0]; tr.Err != nil || tr.Makespan <= 0 {
+			t.Fatalf("tenant result %+v, want a makespan without error", tr)
+		}
+		if got := sinkItems(f, "t", 2); got != 4 {
+			t.Fatalf("sink items = %d, want 4", got)
+		}
+	})
+
+	t.Run("StartError", func(t *testing.T) {
+		// Inputs missing the workflow's source: Start itself fails, and
+		// the tenant is terminal without ever running.
+		noInputs := func(h Handle) (*workflow.Workflow, map[string][]string, error) {
+			wf, _, err := chain(h)
+			return wf, map[string][]string{}, err
+		}
+		var wp weak.Pointer[workflow.Workflow]
+		x := drive(t, tenant(&wp, noInputs))
+		released(t, wp)
+		if st := x.Tenants()[0]; !st.Finished || st.Err == nil {
+			t.Fatalf("tenant status %+v, want finished with an error", st)
+		}
+	})
 }

@@ -111,7 +111,7 @@ func (d *Daemon) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // and broker EWMAs, job lifecycle counts, repair and storage accounting.
 func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var (
-		st        federation.Status
+		st        StatusView
 		fired     uint64
 		pending   int
 		injected  uint64
@@ -119,7 +119,7 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		remaining int
 	)
 	if err := d.call(func() {
-		st = d.fed.Status()
+		st = statusView(d.fed)
 		fired = d.eng.Fired()
 		pending = d.eng.Pending()
 		injected = d.injected
@@ -134,7 +134,7 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 	}
 	metric("moteur_virtual_seconds", "Engine virtual clock.", "gauge")
-	fmt.Fprintf(&b, "moteur_virtual_seconds %g\n", time.Duration(st.Virtual).Seconds())
+	fmt.Fprintf(&b, "moteur_virtual_seconds %g\n", st.VirtualSeconds)
 	metric("moteur_events_fired_total", "Engine events executed.", "counter")
 	fmt.Fprintf(&b, "moteur_events_fired_total %d\n", fired)
 	metric("moteur_events_pending", "Engine events scheduled and not yet fired.", "gauge")
@@ -172,31 +172,31 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	metric("moteur_grid_dispatched_total", "Jobs the broker sent to the grid.", "counter")
 	for _, g := range st.Grids {
-		fmt.Fprintf(&b, "moteur_grid_dispatched_total{grid=%q} %d\n", g.Name, g.Telemetry.Dispatched)
+		fmt.Fprintf(&b, "moteur_grid_dispatched_total{grid=%q} %d\n", g.Name, g.Dispatched)
 	}
 	metric("moteur_grid_observed_total", "Completed jobs that updated the grid's EWMAs.", "counter")
 	for _, g := range st.Grids {
-		fmt.Fprintf(&b, "moteur_grid_observed_total{grid=%q} %d\n", g.Name, g.Telemetry.Observed)
+		fmt.Fprintf(&b, "moteur_grid_observed_total{grid=%q} %d\n", g.Name, g.Observed)
 	}
 	metric("moteur_grid_rebrokered_total", "Jobs moved off the grid after terminal failure.", "counter")
 	for _, g := range st.Grids {
-		fmt.Fprintf(&b, "moteur_grid_rebrokered_total{grid=%q} %d\n", g.Name, g.Telemetry.Rebrokered)
+		fmt.Fprintf(&b, "moteur_grid_rebrokered_total{grid=%q} %d\n", g.Name, g.Rebrokered)
 	}
 	metric("moteur_grid_submit_ewma_seconds", "Smoothed UI submission overhead.", "gauge")
 	for _, g := range st.Grids {
-		fmt.Fprintf(&b, "moteur_grid_submit_ewma_seconds{grid=%q} %g\n", g.Name, g.Telemetry.SubmitEWMA.Seconds())
+		fmt.Fprintf(&b, "moteur_grid_submit_ewma_seconds{grid=%q} %g\n", g.Name, g.SubmitEWMASeconds)
 	}
 	metric("moteur_grid_queue_ewma_seconds", "Smoothed batch-queue wait.", "gauge")
 	for _, g := range st.Grids {
-		fmt.Fprintf(&b, "moteur_grid_queue_ewma_seconds{grid=%q} %g\n", g.Name, g.Telemetry.QueueEWMA.Seconds())
+		fmt.Fprintf(&b, "moteur_grid_queue_ewma_seconds{grid=%q} %g\n", g.Name, g.QueueEWMASeconds)
 	}
 	metric("moteur_grid_stretch", "Observed/nominal WAN transfer-cost ratio.", "gauge")
 	for _, g := range st.Grids {
-		fmt.Fprintf(&b, "moteur_grid_stretch{grid=%q} %g\n", g.Name, g.Telemetry.Stretch())
+		fmt.Fprintf(&b, "moteur_grid_stretch{grid=%q} %g\n", g.Name, g.Stretch)
 	}
 	metric("moteur_grid_wan_wait_seconds_total", "Time spent queued on contended WAN channels, attempts included.", "counter")
 	for _, g := range st.Grids {
-		fmt.Fprintf(&b, "moteur_grid_wan_wait_seconds_total{grid=%q} %g\n", g.Name, g.WANWait.Seconds())
+		fmt.Fprintf(&b, "moteur_grid_wan_wait_seconds_total{grid=%q} %g\n", g.Name, g.WANWaitSeconds)
 	}
 	metric("moteur_grid_remote_in_mb_total", "Input megabytes fetched over non-local links, attempts included.", "counter")
 	for _, g := range st.Grids {
@@ -208,8 +208,9 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 
 	metric("moteur_jobs", "Dispatched job attempts by lifecycle status.", "gauge")
-	for s, n := range st.JobsByStatus {
-		fmt.Fprintf(&b, "moteur_jobs{status=%q} %d\n", grid.JobStatus(s).String(), n)
+	for s := grid.StatusSubmitted; s <= grid.StatusFailed; s++ {
+		name := s.String()
+		fmt.Fprintf(&b, "moteur_jobs{status=%q} %d\n", name, st.JobsByStatus[name])
 	}
 	metric("moteur_repairs_total", "Replica-repair copies landed.", "counter")
 	fmt.Fprintf(&b, "moteur_repairs_total %d\n", st.Repairs)
@@ -218,15 +219,15 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if len(st.SE) > 0 {
 		metric("moteur_se_used_mb", "Resident megabytes per storage element.", "gauge")
 		for _, se := range st.SE {
-			fmt.Fprintf(&b, "moteur_se_used_mb{site=%q} %g\n", se.Site.Grid+"/"+se.Site.Cluster, se.UsedMB)
+			fmt.Fprintf(&b, "moteur_se_used_mb{site=%q} %g\n", se.Site, se.UsedMB)
 		}
 		metric("moteur_se_files", "Resident replicas per storage element.", "gauge")
 		for _, se := range st.SE {
-			fmt.Fprintf(&b, "moteur_se_files{site=%q} %d\n", se.Site.Grid+"/"+se.Site.Cluster, se.Files)
+			fmt.Fprintf(&b, "moteur_se_files{site=%q} %d\n", se.Site, se.Files)
 		}
 		metric("moteur_se_evictions_total", "Replicas drained under capacity pressure.", "counter")
 		for _, se := range st.SE {
-			fmt.Fprintf(&b, "moteur_se_evictions_total{site=%q} %d\n", se.Site.Grid+"/"+se.Site.Cluster, se.Evictions)
+			fmt.Fprintf(&b, "moteur_se_evictions_total{site=%q} %d\n", se.Site, se.Evictions)
 		}
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -104,7 +104,7 @@ func (d *Daemon) snapshot(final bool) Snapshot {
 		Injected:       d.injected,
 		Submissions:    d.submissions,
 		Campaign:       cs,
-		Federation:     newStatusView(d.fed.Status()),
+		Federation:     statusView(d.fed),
 	}
 }
 

@@ -7,8 +7,10 @@ import (
 	"repro/internal/grid"
 )
 
-// GridView is GridStatus rendered for JSON: durations in seconds, the
-// broker telemetry flattened alongside the grid's operational state.
+// GridView is one member grid's live operational state for JSON: its
+// outage flags and queue depths, the broker's smoothed telemetry
+// flattened alongside, and the WAN/staging totals actually paid
+// (attempts included); durations are in seconds.
 type GridView struct {
 	// Name is the member grid's name.
 	Name string `json:"name"`
@@ -68,9 +70,11 @@ type SEView struct {
 	Down bool `json:"down"`
 }
 
-// StatusView is federation.Status rendered for JSON consumers (the
-// /snapshot endpoint and state snapshots): durations in seconds, job
-// lifecycle counts keyed by status name.
+// StatusView is the daemon's one live view of the federation: /metrics
+// renders it as Prometheus text, and /snapshot and the on-disk state
+// snapshots carry it as JSON. Durations are in seconds and job lifecycle
+// counts are keyed by status name. It holds no live references, so it
+// is safe to hand from the engine goroutine to an HTTP handler.
 type StatusView struct {
 	// VirtualSeconds is the engine's virtual clock.
 	VirtualSeconds float64 `json:"virtualSeconds"`
@@ -86,47 +90,53 @@ type StatusView struct {
 	SE []SEView `json:"se,omitempty"`
 }
 
-// newGridView flattens a GridStatus for JSON.
-func newGridView(gs federation.GridStatus) GridView {
-	return GridView{
-		Name:              gs.Name,
-		Down:              gs.Down,
-		StorageDown:       gs.StorageDown,
-		Backlog:           gs.Backlog,
-		Queued:            gs.Queued,
-		BusyNodes:         gs.BusyNodes,
-		TotalNodes:        gs.TotalNodes,
-		Dispatched:        gs.Telemetry.Dispatched,
-		Observed:          gs.Telemetry.Observed,
-		Rebrokered:        gs.Telemetry.Rebrokered,
-		SubmitEWMASeconds: gs.Telemetry.SubmitEWMA.Seconds(),
-		QueueEWMASeconds:  gs.Telemetry.QueueEWMA.Seconds(),
-		Stretch:           gs.Telemetry.Stretch(),
-		RemoteInMB:        gs.RemoteInMB,
-		WANWaitSeconds:    gs.WANWait.Seconds(),
-		Restages:          gs.Restages,
-	}
-}
-
-// newStatusView renders a federation.Status for JSON.
-func newStatusView(st federation.Status) StatusView {
+// statusView assembles the live view of f: per-grid operational state,
+// job counts by lifecycle state over every dispatched attempt, replica
+// repair accounting and per-element storage statistics. Call it from the
+// engine's control flow (between steps).
+func statusView(f *federation.Federation) StatusView {
+	stats := f.Catalog().SEStats()
 	v := StatusView{
-		VirtualSeconds: time.Duration(st.Virtual).Seconds(),
-		Grids:          make([]GridView, len(st.Grids)),
-		JobsByStatus:   make(map[string]int, len(st.JobsByStatus)),
-		Repairs:        st.Repairs,
-		RepairedMB:     st.RepairedMB,
-		SE:             make([]SEView, len(st.SE)),
+		VirtualSeconds: time.Duration(f.Engine().Now()).Seconds(),
+		Grids:          make([]GridView, f.Size()),
+		JobsByStatus:   make(map[string]int, grid.StatusFailed+1),
+		Repairs:        f.Repairs(),
+		RepairedMB:     f.RepairedMB(),
+		SE:             make([]SEView, len(stats)),
 	}
-	for i, gs := range st.Grids {
-		v.Grids[i] = newGridView(gs)
+	for i := range v.Grids {
+		g, tm := f.Grid(i), f.Telemetry(i)
+		v.Grids[i] = GridView{
+			Name:              f.GridName(i),
+			Down:              g.Down(),
+			StorageDown:       g.StorageDown(),
+			Backlog:           g.PendingSubmits(),
+			Queued:            g.QueuedJobs(),
+			BusyNodes:         g.BusyNodes(),
+			TotalNodes:        g.TotalNodes(),
+			Dispatched:        tm.Dispatched,
+			Observed:          tm.Observed,
+			Rebrokered:        tm.Rebrokered,
+			SubmitEWMASeconds: tm.SubmitEWMA.Seconds(),
+			QueueEWMASeconds:  tm.QueueEWMA.Seconds(),
+			Stretch:           tm.Stretch(),
+			RemoteInMB:        g.RemoteInMB(),
+			WANWaitSeconds:    g.WANWait().Seconds(),
+			Restages:          g.Restages(),
+		}
 	}
-	for s, n := range st.JobsByStatus {
+	var jobs [grid.StatusFailed + 1]int
+	for _, r := range f.Records() {
+		if s := int(r.Status); s >= 0 && s < len(jobs) {
+			jobs[s]++
+		}
+	}
+	for s, n := range jobs {
 		if n > 0 {
 			v.JobsByStatus[grid.JobStatus(s).String()] = n
 		}
 	}
-	for i, se := range st.SE {
+	for i, se := range stats {
 		v.SE[i] = SEView{
 			Site:       se.Site.Grid + "/" + se.Site.Cluster,
 			CapacityMB: se.CapacityMB,

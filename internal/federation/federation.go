@@ -698,9 +698,6 @@ func (f *Federation) Tenant(name string) *Tenant {
 // Name returns the tenant's name.
 func (t *Tenant) Name() string { return t.name }
 
-// Federation returns the underlying federation.
-func (t *Tenant) Federation() *Federation { return t.f }
-
 // Catalog returns the federation's shared replica catalog. Together with
 // Submit it makes *Tenant satisfy services.Submitter.
 func (t *Tenant) Catalog() *grid.Catalog { return t.f.catalog }
